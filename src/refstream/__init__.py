@@ -8,7 +8,6 @@ from .detector import (
     StreamPoint,
     build_detector,
     named_config,
-    run_stream,
 )
 from .errors import ConfigError, DataError, DegenerateGroupError
 
@@ -22,7 +21,6 @@ __all__ = [
     "StreamPoint",
     "build_detector",
     "named_config",
-    "run_stream",
     "ConfigError",
     "DataError",
     "DegenerateGroupError",

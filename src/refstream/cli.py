@@ -13,12 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .datasets import load_csv, load_label_file
 from .detector import DETECTOR_GRID, build_detector, named_config
 from .errors import ConfigError, DataError, DegenerateGroupError
-from .evaluation import NAB_PROFILES
+from .evaluation import NAB_PROFILES, anomaly_clusteredness, difficulty_diversity
 from .grid import (
     delta_table,
     evaluate_records,
@@ -144,20 +142,13 @@ def _cmd_score(args) -> int:
 def _cmd_characterize(args) -> int:
     labels = load_label_file(args.labels) if args.labels else None
     bundle = load_csv(args.dataset, labels=labels)
-    from .evaluation import clusteredness, difficulty_diversity
-
-    nc = None
-    if len(bundle.anomalies) >= 2 and bundle.n_points - len(bundle.anomalies) >= 2:
-        marks = np.array(sorted(bundle.anomalies)) - 1
-        normal = np.delete(bundle.values, marks)
-        nc = clusteredness(float(np.var(normal, ddof=1)),
-                           float(np.var(bundle.values[marks], ddof=1)))
+    nc, anomaly_type = anomaly_clusteredness(bundle.values, bundle.anomalies)
     result = {
         "dataset": bundle.name,
         "n_points": bundle.n_points,
         "n_anomalies": len(bundle.anomalies),
         "nc": nc,
-        "anomaly_type": None if nc is None else ("clustered" if nc > 0 else "scattered"),
+        "anomaly_type": anomaly_type,
     }
     if args.scores_dir:
         anomaly_scores, metric_values = {}, {}

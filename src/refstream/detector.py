@@ -279,7 +279,3 @@ def build_detector(config: DetectorConfig, n_points: int | None = None) -> Detec
     """Validate the config, resolve size-dependent defaults, build the detector."""
     config.validate()
     return Detector(config.resolve(n_points))
-
-
-def run_stream(detector: Detector, points: Iterable[StreamPoint]) -> list[ScoreRecord]:
-    return detector.run(points)

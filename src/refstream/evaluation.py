@@ -157,6 +157,22 @@ def clusteredness(normal_variance: float, anomaly_variance: float) -> float | No
     return math.log(normal_variance / anomaly_variance)
 
 
+def anomaly_clusteredness(values, anomalies) -> tuple[float | None, str | None]:
+    """Clusteredness nc of a series' anomalies and the anomaly type it implies.
+
+    ``anomalies`` holds 1-based ordinals into ``values``. nc compares the
+    sample variance of the normal values with that of the anomalous ones;
+    it needs two of each and positive variances, else nc and the type are
+    None. Positive nc means clustered anomalies, otherwise scattered.
+    """
+    nc = None
+    if len(anomalies) >= 2 and len(values) - len(anomalies) >= 2:
+        marks = np.array(sorted(anomalies)) - 1
+        nc = clusteredness(float(np.var(np.delete(values, marks), ddof=1)),
+                           float(np.var(values[marks], ddof=1)))
+    return nc, None if nc is None else ("clustered" if nc > 0 else "scattered")
+
+
 def difficulty_diversity(anomaly_scores_by_detector, metric_by_detector):
     """Collective difficulty and disagreement of the detector pool.
 

@@ -5,6 +5,12 @@ nonconformity, p_value, final_score, flagged); floats carry 9 significant
 digits. The grid report aggregates ROC-AUC and normalised NAB scores per
 (detector, dataset) pair, per-method means, win counts, and dataset
 descriptors, and is emitted both as JSON and as plain text tables.
+
+A grid run makes one pass from manifest to report: the label file is read
+once, each dataset is loaded once, each detector's overrides are merged
+once (``RunManifest._config_for``), and every (dataset, detector) job, run
+in-process or in a process pool, ends as either a result or a failure
+recorded in job order.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import concurrent.futures
 import configparser
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,8 +37,9 @@ from .detector import (
 from .errors import ConfigError, DataError
 from .evaluation import (
     NAB_PROFILES,
-    clusteredness,
+    anomaly_clusteredness,
     delta_performance,
+    difficulty_diversity,
     nab_score,
     normalize_nab,
     relative_performance,
@@ -288,22 +295,23 @@ def evaluate_records(records, bundle: DatasetBundle, profile_name: str = "standa
     return auc, nab, anomaly_scores
 
 
-def _run_job(args: dict) -> dict:
-    labels = load_label_file(args["labels"]) if args["labels"] else None
-    bundle = load_csv(args["dataset"], labels=labels,
-                      probationary_fraction=args["probationary_fraction"])
-    overrides = dict(args["overrides"])
-    overrides.setdefault("probationary_fraction", args["probationary_fraction"])
-    overrides["seed"] = _job_seed(args["seed"], args["detector"], bundle.name)
-    config = named_config(args["detector"], **overrides)
+def _run_job(job: dict) -> dict:
+    """Run one detector over one loaded dataset, write its score file, evaluate it.
+
+    The job carries the dataset bundle and the detector's merged config
+    (``RunManifest._config_for``); only the seed is set here, from the
+    manifest seed, the detector name and the dataset name.
+    """
+    bundle = job["bundle"]
+    config = replace(job["config"], seed=_job_seed(job["seed"], job["detector"], bundle.name))
     detector = build_detector(config, n_points=bundle.n_points)
     records = detector.run(bundle.points())
-    score_path = Path(args["out_dir"]) / f"{bundle.name}__{args['detector']}.csv"
+    score_path = Path(job["out_dir"]) / f"{bundle.name}__{job['detector']}.csv"
     write_score_csv(score_path, records)
-    auc, nab, anomaly_scores = evaluate_records(records, bundle, args["profile"])
+    auc, nab, anomaly_scores = evaluate_records(records, bundle, job["profile"])
     return {
         "dataset": bundle.name,
-        "detector": args["detector"],
+        "detector": job["detector"],
         "roc_auc": auc,
         "nab": nab,
         "anomaly_scores": anomaly_scores,
@@ -311,56 +319,66 @@ def _run_job(args: dict) -> dict:
     }
 
 
+def _outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, or the exception it raised: one job's failure stays its own."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return exc
+
+
+def _run_jobs(jobs: list[dict], parallelism: int) -> list:
+    """Each job's result, or the exception that stopped it, in job order.
+
+    Parallelism 1 runs the jobs here, one after the other; more runs them
+    in a process pool, where a job whose worker breaks fails like any other.
+    """
+    if parallelism == 1:
+        return [_outcome(_run_job, job) for job in jobs]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+        futures = [pool.submit(_run_job, job) for job in jobs]
+        return [_outcome(future.result) for future in futures]
+
+
 def run_grid(manifest: RunManifest) -> dict:
-    """Execute every (detector, dataset) job and assemble the report."""
+    """Execute every (detector, dataset) job and assemble the report.
+
+    One pass: the label file is read once, each dataset is loaded once in
+    manifest order, and the jobs (dataset-major) and the dataset
+    descriptors share those bundles. A dataset that fails to load fails
+    each of its jobs with the load error. Failures are listed in job order
+    whatever the parallelism; results are sorted by (dataset, detector).
+    """
     manifest.validate()
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    labels = str(manifest.labels) if manifest.labels else None
+    labels = load_label_file(manifest.labels) if manifest.labels else None
+    loads = [
+        _outcome(load_csv, ds, labels=labels, probationary_fraction=manifest.probationary_fraction)
+        for ds in manifest.datasets
+    ]
+    configs = [(det, manifest._config_for(det)) for det in manifest.detectors]
+    jobs = [
+        {"dataset": Path(ds).stem, "detector": det, "bundle": bundle, "config": config,
+         "seed": manifest.seed, "out_dir": str(out_dir), "profile": manifest.profile}
+        for ds, bundle in zip(manifest.datasets, loads)
+        for det, config in configs
+    ]
 
-    jobs = []
-    for ds in manifest.datasets:
-        for det in manifest.detectors:
-            merged = dict(manifest.overrides.get("defaults", {}))
-            merged.update(manifest.overrides.get(det, {}))
-            jobs.append(
-                {
-                    "dataset": str(ds),
-                    "detector": det,
-                    "labels": labels,
-                    "overrides": merged,
-                    "seed": manifest.seed,
-                    "out_dir": str(out_dir),
-                    "profile": manifest.profile,
-                    "probationary_fraction": manifest.probationary_fraction,
-                }
-            )
-
+    runnable = [job for job in jobs if not isinstance(job["bundle"], Exception)]
+    ran = iter(_run_jobs(runnable, manifest.parallelism))
     results, failures = [], []
-    if manifest.parallelism > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=manifest.parallelism) as pool:
-            futures = {pool.submit(_run_job, job): job for job in jobs}
-            for fut in concurrent.futures.as_completed(futures):
-                job = futures[fut]
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # job isolation: record, keep going
-                    failures.append(
-                        {"dataset": Path(job["dataset"]).stem, "detector": job["detector"],
-                         "error": f"{type(exc).__name__}: {exc}"}
-                    )
-    else:
-        for job in jobs:
-            try:
-                results.append(_run_job(job))
-            except Exception as exc:
-                failures.append(
-                    {"dataset": Path(job["dataset"]).stem, "detector": job["detector"],
-                     "error": f"{type(exc).__name__}: {exc}"}
-                )
+    for job in jobs:
+        outcome = job["bundle"] if isinstance(job["bundle"], Exception) else next(ran)
+        if isinstance(outcome, Exception):
+            failures.append({"dataset": job["dataset"], "detector": job["detector"],
+                             "error": f"{type(outcome).__name__}: {outcome}"})
+        else:
+            results.append(outcome)
 
     results.sort(key=lambda r: (r["dataset"], r["detector"]))
-    report = assemble_report(results, failures, manifest)
+    bundles = [bundle for bundle in loads if not isinstance(bundle, Exception)]
+    report = assemble_report(results, failures, manifest, bundles)
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report, fh, indent=2)
     with open(out_dir / "report.txt", "w") as fh:
@@ -375,7 +393,8 @@ def _mean_std(values: list[float]):
     return {"mean": float(arr.mean()), "std": float(arr.std()), "count": int(arr.size)}
 
 
-def assemble_report(results: list[dict], failures: list[dict], manifest: RunManifest) -> dict:
+def assemble_report(results: list[dict], failures: list[dict], manifest: RunManifest,
+                    bundles: list[DatasetBundle]) -> dict:
     pairs = [
         {k: r[k] for k in ("dataset", "detector", "roc_auc", "nab", "score_file")}
         for r in results
@@ -419,7 +438,7 @@ def assemble_report(results: list[dict], failures: list[dict], manifest: RunMani
         ls: {ncm: win.get(f"{ls}-{ncm}", 0) for ncm in MEASURES} for ls in STRATEGIES
     }
 
-    dataset_info = _describe_datasets(results, manifest, metrics)
+    dataset_info = _describe_datasets(results, bundles, manifest.groups, metrics)
 
     return {
         "manifest": {
@@ -439,51 +458,31 @@ def assemble_report(results: list[dict], failures: list[dict], manifest: RunMani
     }
 
 
-def _describe_datasets(results, manifest: RunManifest, metrics) -> dict:
-    labels = load_label_file(manifest.labels) if manifest.labels else None
-    info: dict = {}
+def _describe_datasets(results, bundles: list[DatasetBundle], groups: dict, metrics) -> dict:
     by_dataset: dict[str, list[dict]] = {}
     for r in results:
         by_dataset.setdefault(r["dataset"], []).append(r)
-    for ds_path in manifest.datasets:
-        try:
-            bundle = load_csv(ds_path, labels=labels,
-                              probationary_fraction=manifest.probationary_fraction)
-        except DataError:
-            continue
-        entry: dict = {
+    info: dict = {}
+    for bundle in bundles:
+        nc, anomaly_type = anomaly_clusteredness(bundle.values, bundle.anomalies)
+        rs = by_dataset.get(bundle.name, [])
+        # keyed by position: a detector listed twice keeps both of its runs
+        mean_score, _ = difficulty_diversity(dict(enumerate(r["anomaly_scores"] for r in rs)), {})
+        info[bundle.name] = {
             "n_points": bundle.n_points,
             "n_anomalies": len(bundle.anomalies),
             "n_windows": len(bundle.windows),
             "probation_len": bundle.probation_len,
-            "group": manifest.groups.get(bundle.name),
+            "group": groups.get(bundle.name),
+            "nc": nc,
+            "anomaly_type": anomaly_type,
+            "difficulty_mean_score": mean_score,
+            "difficulty": None if mean_score is None else 1.0 - mean_score,
+            "diversity": {
+                metric: difficulty_diversity({}, dict(enumerate(r[metric] for r in rs)))[1]
+                for metric in metrics
+            },
         }
-        nc = None
-        if bundle.anomalies:
-            marks = np.array(sorted(bundle.anomalies)) - 1
-            normal = np.delete(bundle.values, marks)
-            if len(marks) >= 2 and len(normal) >= 2:
-                nc = clusteredness(float(np.var(normal, ddof=1)),
-                                   float(np.var(bundle.values[marks], ddof=1)))
-        entry["nc"] = nc
-        entry["anomaly_type"] = (
-            None if nc is None else ("clustered" if nc > 0 else "scattered")
-        )
-        rs = by_dataset.get(bundle.name, [])
-        pooled = [s for r in rs for s in r["anomaly_scores"]]
-        entry["difficulty_mean_score"] = float(np.mean(pooled)) if pooled else None
-        entry["difficulty"] = (
-            None if not pooled else 1.0 - float(np.mean(pooled))
-        )
-        entry["diversity"] = {
-            metric: (
-                float(np.std([r[metric] for r in rs if r[metric] is not None]))
-                if len([r for r in rs if r[metric] is not None]) >= 2
-                else None
-            )
-            for metric in metrics
-        }
-        info[bundle.name] = entry
     return info
 
 

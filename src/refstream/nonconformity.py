@@ -55,18 +55,12 @@ def batch_knn_scores(features, k: int) -> np.ndarray:
     return np.partition(dist, k - 1, axis=1)[:, :k].mean(axis=1)
 
 
-def _batch_neighbors(dist: np.ndarray, k: int):
-    # rows are in arrival order, so a stable sort breaks distance ties by age
-    nbr = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    nd = np.take_along_axis(dist, nbr, axis=1)
-    return nbr, nd
+def _member_lrds(features, k: int):
+    """Members, their k nearest neighbours, k-distances and LRDs (standard LOF).
 
-
-def batch_lof_scores(features, k: int, reach_kdist: str = "neighbor") -> np.ndarray:
-    """Local outlier factor of every member, in given order.
-
-    ``reach_kdist`` picks whose k-distance caps the reachability: the
-    neighbour's (standard LOF) or the query point's own.
+    Reachability to a neighbour is capped below by the neighbour's
+    k-distance. Rows are in arrival order, so a stable sort breaks
+    distance ties by age.
     """
     feats = np.asarray(features, dtype=float)
     m = len(feats)
@@ -74,44 +68,25 @@ def batch_lof_scores(features, k: int, reach_kdist: str = "neighbor") -> np.ndar
         raise DegenerateGroupError(f"need at least k+1={k + 1} entries, have {m}")
     dist = _pairwise(feats)
     np.fill_diagonal(dist, np.inf)
-    nbr, nd = _batch_neighbors(dist, k)
+    nbr = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    nd = np.take_along_axis(dist, nbr, axis=1)
     kdist = nd[:, -1]
-    if reach_kdist == "neighbor":
-        reach = np.maximum(kdist[nbr], nd)
-    elif reach_kdist == "self":
-        reach = np.maximum(kdist[:, None], nd)
-    else:
-        raise ConfigError(f"unknown reach_kdist {reach_kdist!r}")
-    reach = np.maximum(reach, REACH_FLOOR)
-    lrd = 1.0 / reach.mean(axis=1)
+    reach = np.maximum(np.maximum(kdist[nbr], nd), REACH_FLOOR)
+    return feats, nbr, kdist, 1.0 / reach.mean(axis=1)
+
+
+def batch_lof_scores(features, k: int) -> np.ndarray:
+    """Local outlier factor of every member, in given order."""
+    _, nbr, _, lrd = _member_lrds(features, k)
     return lrd[nbr].mean(axis=1) / lrd
 
 
-def lof_score(x, features, k: int, reach_kdist: str = "neighbor") -> float:
+def lof_score(x, features, k: int) -> float:
     """LOF of a query point (not a member) against the group."""
-    feats = np.asarray(features, dtype=float)
-    m = len(feats)
-    if m < k + 1:
-        raise DegenerateGroupError(f"need at least k+1={k + 1} entries, have {m}")
-    dist = _pairwise(feats)
-    np.fill_diagonal(dist, np.inf)
-    nbr, nd = _batch_neighbors(dist, k)
-    kdist = nd[:, -1]
-    if reach_kdist == "neighbor":
-        member_reach = np.maximum(kdist[nbr], nd)
-    else:
-        member_reach = np.maximum(kdist[:, None], nd)
-    member_reach = np.maximum(member_reach, REACH_FLOOR)
-    lrd = 1.0 / member_reach.mean(axis=1)
-
+    feats, _, kdist, lrd = _member_lrds(features, k)
     d = _distances(feats, np.asarray(x, dtype=float))
     order = np.argsort(d, kind="stable")[:k]
-    dq = d[order]
-    if reach_kdist == "neighbor":
-        reach_q = np.maximum(kdist[order], dq)
-    else:
-        reach_q = np.maximum(dq[-1], dq)
-    reach_q = np.maximum(reach_q, REACH_FLOOR)
+    reach_q = np.maximum(np.maximum(kdist[order], d[order]), REACH_FLOOR)
     lrd_q = 1.0 / reach_q.mean()
     return float(lrd[order].mean() / lrd_q)
 
@@ -122,11 +97,6 @@ def cc_score(x, centroids) -> float:
     if cents.size == 0:
         raise DegenerateGroupError("cluster model has no centroids")
     return float(_distances(cents, np.asarray(x, dtype=float)).min())
-
-
-def freq_score(word: str, table: "FrequencyTable") -> float:
-    """|R| / (f(word) + 1); unseen words score |R|."""
-    return table.score(word)
 
 
 def lloyd_kmeans(features, n_clusters: int, rng: np.random.Generator, max_iter: int = 100):

@@ -113,6 +113,13 @@ def unify(significance: float, state: UnifierState) -> float:
     return state.scale(reg)
 
 
+def _finite_scores(reference_scores) -> np.ndarray:
+    ref = np.asarray(reference_scores, dtype=float)
+    if not np.isfinite(ref).all():
+        raise DegenerateGroupError("reference scores are not finite")
+    return ref
+
+
 class AnomalyScorer:
     """Streaming scorer: p-value, sliding K-S test, unification.
 
@@ -142,16 +149,18 @@ class AnomalyScorer:
 
     def bootstrap(self, reference_scores):
         """Seed the scorer with the first reference group's scores."""
-        ref = np.asarray(reference_scores, dtype=float)
-        if not np.isfinite(ref).all():
-            raise DegenerateGroupError("reference scores are not finite")
+        ref = _finite_scores(reference_scores)
         for pv in loo_p_values(ref):
             self.window.append(float(pv))
         self._reference = ref
         self._bootstrapped = True
 
     def set_reference_scores(self, reference_scores):
-        ref = np.asarray(reference_scores, dtype=float)
+        """Replace the reference set, which must be nonempty and finite.
+
+        A NaN entry would never count as >= a_t and so bias every p-value.
+        """
+        ref = _finite_scores(reference_scores)
         if ref.size == 0:
             raise DegenerateGroupError("reference score set is empty")
         self._reference = ref

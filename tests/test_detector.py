@@ -10,7 +10,6 @@ from refstream.detector import (
     StreamPoint,
     build_detector,
     named_config,
-    run_stream,
 )
 from refstream.errors import ConfigError, DataError
 from refstream.learning import ares_weight

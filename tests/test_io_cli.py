@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,63 @@ class TestManifest:
         assert len(report["failures"]) == 1
         assert report["failures"][0]["detector"] == "sw-nn"
         assert len(report["pairs"]) == 1
+
+    def test_parallel_run_writes_the_serial_bytes(self, tmp_path):
+        paths = self._write_corpus(tmp_path, n_datasets=3)
+        # sw-nn fails on every dataset: failures must keep job order in both modes
+        manifest_path = self._write_manifest(
+            tmp_path, paths, detectors="sw-nn, fr-nn, ures-cc", extra="[sw-nn]\nk = 500\n"
+        )
+        out = tmp_path / "out"
+
+        def run(parallelism):
+            manifest = load_manifest(manifest_path)
+            manifest.parallelism = parallelism
+            report = run_grid(manifest)
+            return report, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        serial, serial_files = run(1)
+        parallel, parallel_files = run(2)
+        assert [(f["dataset"], f["detector"]) for f in serial["failures"]] == [
+            ("ds0", "sw-nn"), ("ds1", "sw-nn"), ("ds2", "sw-nn"),
+        ]
+        assert len(serial_files) == 6 + 2  # score files plus report.json and report.txt
+        assert parallel_files == serial_files
+        assert parallel == serial
+
+    def test_malformed_dataset_fails_each_detector_only(self, tmp_path):
+        paths = self._write_corpus(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("timestamp,value\n" + "".join(
+            f"{t},{t % 5}.0\n" for t in [*range(1, 30), 29, *range(30, 60)]))
+        manifest = load_manifest(self._write_manifest(tmp_path, [paths[0], bad, paths[1]]))
+        report = run_grid(manifest)
+        assert [(f["dataset"], f["detector"]) for f in report["failures"]] == [
+            ("bad", "sw-nn"), ("bad", "fr-nn"),
+        ]
+        for failure in report["failures"]:
+            assert failure["error"].startswith("DataError: ")
+            assert "bad.csv:31: non-monotone timestamp" in failure["error"]
+        assert sorted((p["dataset"], p["detector"]) for p in report["pairs"]) == [
+            ("ds0", "fr-nn"), ("ds0", "sw-nn"), ("ds1", "fr-nn"), ("ds1", "sw-nn"),
+        ]
+        assert list(report["datasets"]) == ["ds0", "ds1"]
+
+    def test_each_dataset_is_loaded_once(self, tmp_path, monkeypatch):
+        import refstream.grid as grid
+
+        paths = self._write_corpus(tmp_path)
+        loaded = []
+
+        def counting_load(path, *args, **kwargs):
+            loaded.append(Path(path).name)
+            return load_csv(path, *args, **kwargs)
+
+        monkeypatch.setattr(grid, "load_csv", counting_load)
+        report = run_grid(load_manifest(self._write_manifest(
+            tmp_path, paths, detectors="sw-nn, fr-nn, sw-cc")))
+        assert len(report["pairs"]) == 6
+        assert loaded == ["ds0.csv", "ds1.csv"]
 
     def test_win_counts_account_for_slots(self, tmp_path):
         paths = self._write_corpus(tmp_path)

@@ -13,7 +13,6 @@ from refstream.nonconformity import (
     batch_knn_scores,
     batch_lof_scores,
     cc_score,
-    freq_score,
     knn_score,
     lloyd_kmeans,
     lof_score,
@@ -28,7 +27,7 @@ def brute_knn(x, feats, k):
     return sum(d[:k]) / k
 
 
-def brute_lof_caches(feats, ids, k, reach_self=False):
+def brute_lof_caches(feats, ids, k):
     """Definitional LOF over explicit nested loops; ties break by id."""
     def neighbors(i):
         cand = [(math.dist(feats[i], feats[j]), ids[j], j) for j in range(len(feats)) if j != i]
@@ -40,8 +39,7 @@ def brute_lof_caches(feats, ids, k, reach_self=False):
     def lrd(i):
         total = 0.0
         for dist, _, j in neighbors(i):
-            cap = kdist[i] if reach_self else kdist[j]
-            total += max(cap, dist, REACH_FLOOR)
+            total += max(kdist[j], dist, REACH_FLOOR)
         return 1.0 / (total / k)
 
     lrds = {i: lrd(i) for i in range(len(feats))}
@@ -52,14 +50,12 @@ def brute_lof_caches(feats, ids, k, reach_self=False):
     return kdist, lrds, {i: lof(i) for i in range(len(feats))}
 
 
-def brute_lof_query(x, feats, ids, k, reach_self=False):
-    kdist, lrds, _ = brute_lof_caches(feats, ids, k, reach_self)
+def brute_lof_query(x, feats, ids, k):
+    kdist, lrds, _ = brute_lof_caches(feats, ids, k)
     cand = sorted((math.dist(x, feats[j]), ids[j], j) for j in range(len(feats)))[:k]
-    kdist_q = cand[-1][0]
     total = 0.0
     for dist, _, j in cand:
-        cap = kdist_q if reach_self else kdist[j]
-        total += max(cap, dist, REACH_FLOOR)
+        total += max(kdist[j], dist, REACH_FLOOR)
     lrd_q = 1.0 / (total / k)
     return sum(lrds[j] for _, _, j in cand) / k / lrd_q
 
@@ -141,21 +137,6 @@ class TestLof:
             got = lof_score(x, feats, 4)
             want = brute_lof_query(x, feats.tolist(), list(range(1, 16)), 4)
             assert got == pytest.approx(want, abs=1e-9)
-
-    def test_self_reach_variant(self):
-        rng = np.random.default_rng(4)
-        feats = rng.normal(size=(12, 2))
-        ids = list(range(1, 13))
-        got = batch_lof_scores(feats, 3, reach_kdist="self")
-        _, _, want = brute_lof_caches(feats.tolist(), ids, 3, reach_self=True)
-        np.testing.assert_allclose(got, [want[i] for i in range(12)], atol=1e-9)
-        # both variants agree on homogeneous data, differ in general
-        grid = [(float(i), float(j)) for i in range(5) for j in range(5)]
-        np.testing.assert_allclose(
-            batch_lof_scores(grid, 4, reach_kdist="self")[12],
-            batch_lof_scores(grid, 4)[12],
-            atol=0.2,
-        )
 
     def test_uniform_data_median_near_one(self):
         rng = np.random.default_rng(5)
@@ -368,20 +349,20 @@ class TestFrequency:
         table = FrequencyTable()
         for w in ["ab"] * 6 + ["cd"] * 4:
             table.insert(w)
-        assert freq_score("zz", table) == pytest.approx(10.0)
+        assert table.score("zz") == pytest.approx(10.0)
 
     def test_seen_word(self):
         table = FrequencyTable()
         for w in ["ab"] * 4 + ["cd"] * 6:
             table.insert(w)
-        assert freq_score("ab", table) == pytest.approx(2.0)
+        assert table.score("ab") == pytest.approx(2.0)
 
     def test_uniform_group_floor(self):
         table = FrequencyTable()
         for _ in range(8):
             table.insert("aa")
-        assert freq_score("aa", table) == pytest.approx(8 / 9)
-        assert freq_score("aa", table) < 1.0
+        assert table.score("aa") == pytest.approx(8 / 9)
+        assert table.score("aa") < 1.0
 
     def test_strictly_decreasing_in_frequency(self):
         table = FrequencyTable()

@@ -195,6 +195,16 @@ class TestAnomalyScorer:
         with pytest.raises(DegenerateGroupError):
             scorer.step(1.0)
 
+    def test_non_finite_reference_rejected(self):
+        scorer = self._scorer([1.0, 2.0, 3.0, 4.0])
+        for bad in ([1.0, math.nan, 3.0], [1.0, math.inf], [-math.inf, 2.0]):
+            with pytest.raises(DegenerateGroupError, match="not finite"):
+                scorer.set_reference_scores(bad)
+        with pytest.raises(DegenerateGroupError, match="not finite"):
+            AnomalyScorer(8).bootstrap([1.0, math.nan, 3.0])
+        # a rejected set leaves the previous reference in force
+        assert scorer.step(2.5)[0] == pytest.approx(0.5)
+
     def test_bootstrap_seeds_window_with_loo_p_values(self):
         refs = [1.0, 2.0, 3.0, 4.0]
         scorer = self._scorer(refs)
