@@ -6,7 +6,8 @@ leave-one-out nonconformity scores of the reference group; afterwards each
 point is scored first and learned second, so the anomaly-aware reservoir
 sees the score emitted for the same timestamp. After every group update
 the stored reference scores are refreshed against the new group, either
-incrementally or by full recomputation.
+incrementally or by full recomputation; a step that admits and evicts
+nothing keeps the stored scores, which are then still exact.
 """
 
 from __future__ import annotations
@@ -258,8 +259,9 @@ class Detector:
         record = ScoreRecord(t, a_t, pv, significance, final, final >= self.config.threshold)
 
         added, removed = self.strategy.update(feature, t, final)
-        self._apply_update(added, removed)
-        self.scorer.set_reference_scores(self._reference_scores())
+        if added is not None or removed is not None:
+            self._apply_update(added, removed)
+            self.scorer.set_reference_scores(self._reference_scores())
         return record
 
     def run(self, points: Iterable[StreamPoint]) -> list[ScoreRecord]:

@@ -245,6 +245,17 @@ def load_manifest(path) -> RunManifest:
 
     datasets = [_resolve(tok) for tok in sec.get("datasets", "").split(",") if tok.strip()]
     detectors = expand_detectors(sec.get("detectors", "all-20"))
+    # a job's score file is named <dataset stem>__<detector>, so a repeat would overwrite one
+    for i, name in enumerate(detectors):
+        if name in detectors[:i]:
+            raise ConfigError(f"{path}: detector {name!r} is listed more than once")
+    by_stem: dict[str, Path] = {}
+    for ds in datasets:
+        if ds.stem in by_stem:
+            raise ConfigError(
+                f"{path}: datasets {by_stem[ds.stem]} and {ds} share the name {ds.stem!r}"
+            )
+        by_stem[ds.stem] = ds
     labels = _resolve(sec["labels"]) if sec.get("labels", "").strip() else None
     metrics = tuple(
         tok.strip() for tok in sec.get("metrics", ",".join(METRICS)).split(",") if tok.strip()

@@ -39,14 +39,22 @@ def loo_p_values(reference_scores) -> np.ndarray:
     return (at_least - 1) / (m - 1)
 
 
+def _ecdf_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical CDF just after (i/n) and just before ((i-1)/n) each of n sorted points."""
+    i = np.arange(1, n + 1)
+    return i / n, (i - 1) / n
+
+
+def _sup_distance(p_sorted: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> float:
+    return float(max((upper - p_sorted).max(), (p_sorted - lower).max(), 0.0))
+
+
 def ks_statistic(p_values) -> float:
     """Exact sup-distance between the empirical CDF of p-values and uniform."""
     p = np.sort(np.asarray(p_values, dtype=float))
-    n = p.size
-    if n == 0:
+    if p.size == 0:
         raise DegenerateGroupError("empty p-value window")
-    i = np.arange(1, n + 1)
-    return float(max((i / n - p).max(), (p - (i - 1) / n).max(), 0.0))
+    return _sup_distance(p, *_ecdf_steps(p.size))
 
 
 def ks_significance(d: float, n: int) -> float:
@@ -127,6 +135,10 @@ class AnomalyScorer:
     nonconformity scores; those seed both the conformal reference set and
     the p-value window. The K-S test runs every ``test_period`` steps and
     the last significance is held in between.
+
+    The window is kept twice: in arrival order in ``window``, and sorted in
+    a float64 array that each step updates by one removal and one insertion
+    instead of re-sorting, so the K-S statistic needs no sort.
     """
 
     def __init__(self, ks_window: int, test_period: int = 1):
@@ -137,6 +149,8 @@ class AnomalyScorer:
         self.ks_window = ks_window
         self.test_period = test_period
         self.window: deque[float] = deque(maxlen=ks_window)
+        self._sorted = np.empty(ks_window)  # the window's values, ascending, in [:len(window)]
+        self._upper, self._lower = _ecdf_steps(ks_window)
         self.unifier = UnifierState()
         self._reference: np.ndarray | None = None
         self._steps = 0
@@ -150,8 +164,9 @@ class AnomalyScorer:
     def bootstrap(self, reference_scores):
         """Seed the scorer with the first reference group's scores."""
         ref = _finite_scores(reference_scores)
-        for pv in loo_p_values(ref):
-            self.window.append(float(pv))
+        self.window.extend(loo_p_values(ref).tolist())
+        n = len(self.window)
+        self._sorted[:n] = np.sort(np.array(self.window))
         self._reference = ref
         self._bootstrapped = True
 
@@ -165,15 +180,33 @@ class AnomalyScorer:
             raise DegenerateGroupError("reference score set is empty")
         self._reference = ref
 
+    def _slide(self, pv: float):
+        """Append pv to the window, evicting the oldest value once it is full."""
+        srt = self._sorted
+        n = len(self.window)
+        if n == self.ks_window:
+            gap = int(np.searchsorted(srt[:n], self.window[0]))
+            srt[gap : n - 1] = srt[gap + 1 : n]
+            n -= 1
+        pos = int(np.searchsorted(srt[:n], pv, side="right"))
+        srt[pos + 1 : n + 1] = srt[pos:n]
+        srt[pos] = pv
+        self.window.append(pv)
+
     def step(self, a_t: float) -> tuple[float, float, float]:
         """Score one nonconformity value; returns (p_value, significance, final)."""
         if not self._bootstrapped:
             raise DegenerateGroupError("scorer used before bootstrap")
         pv = p_value(a_t, self._reference)
-        self.window.append(pv)
+        self._slide(pv)
         if self._steps % self.test_period == 0:
-            d = ks_statistic(self.window)
-            self._held_significance = ks_significance(d, len(self.window))
+            n = len(self.window)
+            if n == self.ks_window:
+                upper, lower = self._upper, self._lower
+            else:
+                upper, lower = _ecdf_steps(n)
+            d = _sup_distance(self._sorted[:n], upper, lower)
+            self._held_significance = ks_significance(d, n)
         self._steps += 1
         final = unify(self._held_significance, self.unifier)
         return pv, self._held_significance, final

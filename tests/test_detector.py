@@ -149,13 +149,18 @@ class TestDeterminism:
 class TestRefreshEquivalence:
     """Gate: incremental reference-score maintenance equals full recomputation."""
 
-    @pytest.mark.parametrize("name", ["sw-nn", "sw-den", "ures-nn", "ares-den", "lw-nn", "fr-den"])
+    @pytest.mark.parametrize("name", [
+        "sw-nn", "sw-den", "ures-nn", "ares-den", "lw-nn", "fr-den",
+        "fr-cc", "fr-freq", "ures-cc", "ares-freq",
+    ])
     def test_modes_agree_bitwise_on_records(self, name):
         values = gaussian_stream(240, seed=7)
+        # freq keeps its SAX default window, which must divide into segments
+        rep = {} if name.endswith("freq") else {"rep_window": 1}
         runs = {}
         for refresh in ("incremental", "exact"):
             det = build_detector(
-                named_config(name, rep_window=1, k=3, seed=21, refresh=refresh), n_points=240
+                named_config(name, k=3, seed=21, refresh=refresh, **rep), n_points=240
             )
             runs[refresh] = det.run(stream(values))
         inc, exact = runs["incremental"], runs["exact"]
@@ -176,6 +181,44 @@ class TestRefreshEquivalence:
                     det.measure.recompute_member_scores(),
                     atol=1e-9,
                 )
+
+
+class TestRefreshSkip:
+    """After probation the reference scores are refreshed only when the group changed."""
+
+    @pytest.mark.parametrize("name", ["fr-nn", "fr-den", "fr-cc", "fr-freq", "sw-nn", "ures-nn"])
+    def test_member_scores_follow_group_changes(self, name):
+        det = build_detector(named_config(name, k=3, seed=5), n_points=400)
+        points = stream(gaussian_stream(400, seed=11))
+        for p in points[: det.probation_len]:
+            det.process(p)
+        assert det.scorer.bootstrapped
+
+        counts = {"member_scores": 0, "admits": 0, "scored": 0}
+        member_scores, update = det.measure.member_scores, det.strategy.update
+
+        def counted_member_scores():
+            counts["member_scores"] += 1
+            return member_scores()
+
+        def counted_update(feature, t, score=0.0):
+            added, removed = update(feature, t, score)
+            counts["admits"] += added is not None
+            return added, removed
+
+        det.measure.member_scores = counted_member_scores
+        det.strategy.update = counted_update
+        for p in points[det.probation_len :]:
+            counts["scored"] += det.process(p) is not None
+
+        # none of these strategies evicts without admitting
+        assert counts["member_scores"] == counts["admits"]
+        if name.startswith("fr-"):
+            assert counts["member_scores"] == 0
+        elif name == "sw-nn":
+            assert counts["member_scores"] == counts["scored"] == len(points) - det.probation_len
+        else:  # ures admits a shrinking share of arrivals, each replacing one member
+            assert 0 < counts["member_scores"] < counts["scored"]
 
 
 class TestAresFeedback:

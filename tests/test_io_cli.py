@@ -173,6 +173,22 @@ class TestManifest:
         with pytest.raises(ConfigError):
             expand_detectors("sw-xyz")
 
+    def test_repeated_detector_rejected(self, tmp_path):
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(tmp_path, paths, detectors="sw-nn, fr-nn, SW-NN")
+        with pytest.raises(ConfigError, match=r"manifest\.ini.*'sw-nn'"):
+            load_manifest(manifest_path)
+
+    def test_datasets_sharing_a_name_rejected(self, tmp_path):
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(tmp_path, paths)
+        text = manifest_path.read_text()
+        # the same file twice, and two files whose score files would both be ds0__*.csv
+        for listed in ("ds0.csv, ds0.csv", "ds0.csv, b/ds0.csv"):
+            manifest_path.write_text(text.replace("ds0.csv", listed))
+            with pytest.raises(ConfigError, match=r"manifest\.ini.*'ds0'"):
+                load_manifest(manifest_path)
+
     def test_grid_runs_and_reports(self, tmp_path):
         paths = self._write_corpus(tmp_path)
         manifest = load_manifest(self._write_manifest(tmp_path, paths))

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -246,3 +247,31 @@ class TestAnomalyScorer:
             pvs.extend(scorer.step(float(a))[0] for a in rng.normal(size=20) ** 2)
         assert len(pvs) >= 5000
         assert stats.kstest(pvs, "uniform").pvalue > 0.01
+
+    @given(
+        ks_window=st.integers(1, 40),
+        test_period=st.integers(1, 3),
+        size_offset=st.integers(-39, 20),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_window_matches_resorting_every_step(
+        self, ks_window, test_period, size_offset, data
+    ):
+        # a coarse grid of scores makes ties in the reference, the p-values and the window
+        coarse = st.integers(0, 8).map(lambda i: i / 8)
+        n_refs = max(2, ks_window + size_offset)  # below, equal to or above the window
+        refs = np.array(data.draw(st.lists(coarse, min_size=n_refs, max_size=n_refs)))
+        stream = data.draw(st.lists(coarse, min_size=1, max_size=100))
+
+        scorer = self._scorer(refs, ks_window=ks_window, test_period=test_period)
+        window = deque(loo_p_values(refs).tolist(), maxlen=ks_window)
+        unifier = UnifierState()
+        significance = 1.0
+        for i, a in enumerate(stream):
+            pv = p_value(a, refs)
+            window.append(pv)
+            if i % test_period == 0:
+                significance = ks_significance(ks_statistic(list(window)), len(window))
+            expected = (pv, significance, unify(significance, unifier))
+            assert scorer.step(a) == expected
