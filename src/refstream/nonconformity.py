@@ -129,195 +129,191 @@ def lloyd_kmeans(features, n_clusters: int, rng: np.random.Generator, max_iter: 
 # incremental structures
 
 
-class NeighborIndex:
-    """Exact k-NN bookkeeping over the group with slot-stable storage.
+class _SlotStore:
+    """Member features in slot-stable rows, with arrival order kept apart.
 
-    mode="distance" caches each member's leave-one-out average k-NN
-    distance; mode="density" additionally maintains k-distances, LRDs and
-    LOFs, repairing only the entries a change can reach (the reverse
-    neighbourhood and everything that references it).
+    A removed member's slot goes on a free list for a later insert to
+    reuse, so per-slot arrays never move; ``_order_slots`` lists the
+    occupied slots in arrival order. A subclass names its own per-slot
+    arrays and their fill values in ``_SLOT_FILLS``.
     """
 
-    def __init__(self, k: int, mode: str = "distance"):
-        if k < 1:
-            raise ConfigError(f"k must be >= 1, got {k}")
-        if mode not in ("distance", "density"):
-            raise ConfigError(f"unknown NeighborIndex mode {mode!r}")
-        self.k = k
-        self.mode = mode
-        self._dim: int | None = None
+    _WHAT: str  # names the structure in errors
+    _SLOT_FILLS: dict[str, float]
+
+    def __init__(self):
         self._cap = 0
-        self._X: np.ndarray | None = None
-        self._ids = np.empty(0, dtype=np.int64)
-        self._alive = np.empty(0, dtype=bool)
-        self._nbr: np.ndarray | None = None  # (cap, k) slot numbers, -1 padded
-        self._nbrd: np.ndarray | None = None
-        self._nvalid = np.empty(0, dtype=np.int32)
-        self._kdist = np.empty(0, dtype=float)
-        self._lrd = np.empty(0, dtype=float)
-        self._score = np.empty(0, dtype=float)
+        self._X = np.empty((0, 0))
         self._slot_of: dict[int, int] = {}
-        self._order: list[int] = []
         self._order_slots: list[int] = []
         self._free: list[int] = []
-        self._act_cache: np.ndarray | None = None
 
     def __len__(self):
         return len(self._slot_of)
 
     def _grow(self):
         new_cap = max(64, self._cap * 2)
-        pad = new_cap - self._cap
-        self._X = np.vstack([self._X, np.zeros((pad, self._dim))]) if self._cap else np.zeros((new_cap, self._dim))
-        self._ids = np.concatenate([self._ids, np.zeros(pad, dtype=np.int64)])
-        self._alive = np.concatenate([self._alive, np.zeros(pad, dtype=bool)])
-        nbr_pad = np.full((pad, self.k), -1, dtype=np.int64)
-        nbrd_pad = np.full((pad, self.k), np.inf)
-        self._nbr = np.vstack([self._nbr, nbr_pad]) if self._cap else nbr_pad
-        self._nbrd = np.vstack([self._nbrd, nbrd_pad]) if self._cap else nbrd_pad
-        self._nvalid = np.concatenate([self._nvalid, np.zeros(pad, dtype=np.int32)])
-        self._kdist = np.concatenate([self._kdist, np.full(pad, np.inf)])
-        self._lrd = np.concatenate([self._lrd, np.full(pad, np.nan)])
-        self._score = np.concatenate([self._score, np.full(pad, np.nan)])
+        for name, fill in {"_X": 0.0, **self._SLOT_FILLS}.items():
+            old = getattr(self, name)
+            new = np.full((new_cap,) + old.shape[1:], fill, dtype=old.dtype)
+            new[: self._cap] = old
+            setattr(self, name, new)
         self._free.extend(range(new_cap - 1, self._cap - 1, -1))
         self._cap = new_cap
 
+    def _claim(self, ident: int, x: np.ndarray) -> int:
+        if ident in self._slot_of:
+            raise DegenerateGroupError(f"entry {ident} already in {self._WHAT}")
+        if not self._cap:
+            self._X = np.empty((0, x.size))
+        if not self._free:
+            self._grow()
+        slot = self._free.pop()
+        self._X[slot] = x
+        self._slot_of[ident] = slot
+        self._order_slots.append(slot)
+        return slot
+
+    def _release(self, ident: int) -> int:
+        if ident not in self._slot_of:
+            raise DegenerateGroupError(f"entry {ident} not in {self._WHAT}")
+        slot = self._slot_of.pop(ident)
+        self._order_slots.remove(slot)
+        self._free.append(slot)
+        return slot
+
+    def _rows(self) -> np.ndarray:
+        return np.fromiter(self._order_slots, dtype=np.int64, count=len(self._order_slots))
+
+    def member_features(self) -> np.ndarray:
+        """Member features in arrival order."""
+        return self._X[self._rows()]
+
+
+class NeighborIndex(_SlotStore):
+    """Exact k-NN bookkeeping over the group with slot-stable storage.
+
+    mode="distance" caches each member's leave-one-out average k-NN
+    distance; mode="density" additionally maintains k-distances, LRDs and
+    LOFs, repairing only the entries a change can reach (the reverse
+    neighbourhood and everything that references it). Every repair is a
+    fixed number of array operations: boolean slot masks find the rows a
+    change reaches, and gathers over the (slot, k) neighbour table update
+    them together. A row's k-distance is its last neighbour distance,
+    which stays inf until the row has k neighbours.
+    """
+
+    _WHAT = "index"
+    _SLOT_FILLS = {"_ids": 0, "_alive": False, "_nbr": -1, "_nbrd": np.inf,
+                   "_nvalid": 0, "_lrd": np.nan, "_score": np.nan}
+
+    def __init__(self, k: int, mode: str = "distance"):
+        if k < 1:
+            raise ConfigError(f"k must be >= 1, got {k}")
+        if mode not in ("distance", "density"):
+            raise ConfigError(f"unknown NeighborIndex mode {mode!r}")
+        super().__init__()
+        self.k = k
+        self.mode = mode
+        self._ids = np.empty(0, dtype=np.int64)
+        self._alive = np.empty(0, dtype=bool)
+        self._nbr = np.empty((0, k), dtype=np.int64)  # slot numbers, -1 padded
+        self._nbrd = np.empty((0, k))  # their distances, inf padded
+        self._nvalid = np.empty(0, dtype=np.int32)
+        self._lrd = np.empty(0)
+        self._score = np.empty(0)
+        self._act_cache: np.ndarray | None = None
+        self._col = np.arange(k)
+        self._prev = np.maximum(self._col - 1, 0)  # source column of a shift right
+
     def _active(self) -> np.ndarray:
         if self._act_cache is None:
-            self._act_cache = np.flatnonzero(self._alive)
+            self._act_cache = self._alive.nonzero()[0]
         return self._act_cache
-
-    def _set_row(self, slot: int, nbr_slots: np.ndarray, nbr_dists: np.ndarray):
-        n = len(nbr_slots)
-        self._nbr[slot, :n] = nbr_slots
-        self._nbrd[slot, :n] = nbr_dists
-        self._nbr[slot, n:] = -1
-        self._nbrd[slot, n:] = np.inf
-        self._nvalid[slot] = n
-        self._kdist[slot] = nbr_dists[-1] if n == self.k else np.inf
 
     def _rebuild_rows(self, slots: np.ndarray):
         act = self._active()
         block = self._X[slots][:, None, :] - self._X[act][None, :, :]
         dist = np.sqrt((block**2).sum(axis=-1))
-        self_pos = np.searchsorted(act, slots)
-        dist[np.arange(len(slots)), self_pos] = np.inf
-        order = np.lexsort((np.broadcast_to(self._ids[act], dist.shape), dist), axis=-1)
+        dist[np.arange(len(slots)), np.searchsorted(act, slots)] = np.inf
         take = min(self.k, act.size - 1)
-        for i, slot in enumerate(slots):
-            picked = order[i, :take]
-            self._set_row(int(slot), act[picked], dist[i, picked])
+        order = np.lexsort((np.broadcast_to(self._ids[act], dist.shape), dist), axis=-1)
+        order = order[:, :take]
+        self._nbr[slots, :take] = act[order]
+        self._nbrd[slots, :take] = np.take_along_axis(dist, order, axis=1)
+        self._nbr[slots, take:] = -1
+        self._nbrd[slots, take:] = np.inf
+        self._nvalid[slots] = take
 
-    def _admit(self, slot: int, dist: float, new_slot: int):
-        # new arrivals carry the largest id, so distance ties keep incumbents
-        n = self._nvalid[slot]
-        pos = int(np.searchsorted(self._nbrd[slot, :n], dist, side="right"))
-        stop = n if n < self.k else self.k - 1
-        self._nbr[slot, pos + 1 : stop + 1] = self._nbr[slot, pos:stop].copy()
-        self._nbrd[slot, pos + 1 : stop + 1] = self._nbrd[slot, pos:stop].copy()
-        self._nbr[slot, pos] = new_slot
-        self._nbrd[slot, pos] = dist
-        if n < self.k:
-            self._nvalid[slot] = n + 1
-        self._kdist[slot] = (
-            self._nbrd[slot, self.k - 1] if self._nvalid[slot] == self.k else np.inf
-        )
+    def _refresh(self, changed: np.ndarray):
+        # row means are sum / k, the arithmetic of .mean() without the
+        # per-call cost of its Python wrapper
+        if self.mode == "distance":
+            full = self._nvalid[changed] == self.k
+            self._score[changed] = np.where(full, self._nbrd[changed].sum(axis=1) / self.k, np.nan)
+        else:
+            self._density_cascade(changed)
 
-    def _update_knn_scores(self, slots):
-        rows = np.fromiter(slots, dtype=np.int64, count=len(slots))
-        full = self._nvalid[rows] == self.k
-        self._score[rows] = np.where(
-            full, self._nbrd[rows, : self.k].mean(axis=1), np.nan
-        )
-
-    def _lrd_of(self, slot: int) -> float:
-        if self._nvalid[slot] < self.k:
-            return np.nan
-        nbr = self._nbr[slot, : self.k]
-        reach = np.maximum(self._kdist[nbr], self._nbrd[slot, : self.k])
-        reach = np.maximum(reach, REACH_FLOOR)
-        return 1.0 / reach.mean()
-
-    def _density_cascade(self, changed: set[int]):
+    def _density_cascade(self, changed: np.ndarray):
         # k-distance changes propagate to LRDs of reverse neighbours, and
-        # LRD changes propagate to LOFs of their reverse neighbours
+        # LRD changes propagate to LOFs of their reverse neighbours; the
+        # mask's spare last entry stays False for the -1 padding to read
         act = self._active()
-        if act.size == 0:
-            return
-        ch = np.fromiter(changed, dtype=np.int64)
-        rows = self._nbr[act, : self.k]
-        s_lrd = np.union1d(ch, act[np.isin(rows, ch).any(axis=1)])
-        for s in s_lrd:
-            self._lrd[s] = self._lrd_of(int(s))
-        s_lof = np.union1d(s_lrd, act[np.isin(rows, s_lrd).any(axis=1)])
-        for s in s_lof:
-            s = int(s)
-            if self._nvalid[s] < self.k:
-                self._score[s] = np.nan
-                continue
-            nbr = self._nbr[s, : self.k]
-            self._score[s] = self._lrd[nbr].mean() / self._lrd[s]
+        rows = self._nbr[act]
+        reach = np.zeros(self._cap + 1, dtype=bool)
+        reach[changed] = True
+        reach[act[reach[rows].any(axis=1)]] = True
+        s = reach.nonzero()[0]
+        nbr = self._nbr[s]
+        reach_d = np.maximum(np.maximum(self._nbrd[nbr, -1], self._nbrd[s]), REACH_FLOOR)
+        full = self._nvalid[s] == self.k
+        self._lrd[s] = np.where(full, 1.0 / (reach_d.sum(axis=1) / self.k), np.nan)
+        reach[act[reach[rows].any(axis=1)]] = True
+        s = reach.nonzero()[0]
+        full = self._nvalid[s] == self.k
+        lof = self._lrd[self._nbr[s]].sum(axis=1) / self.k / self._lrd[s]
+        self._score[s] = np.where(full, lof, np.nan)
 
     def insert(self, ident: int, feature):
         x = np.asarray(feature, dtype=float)
-        if self._dim is None:
-            self._dim = x.size
-        if ident in self._slot_of:
-            raise DegenerateGroupError(f"entry {ident} already in index")
         act = self._active()
         d = _distances(self._X[act], x) if act.size else np.empty(0)
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        self._X[slot] = x
+        slot = self._claim(ident, x)
         self._ids[slot] = ident
         self._alive[slot] = True
         self._act_cache = None
-        self._slot_of[ident] = slot
-        self._order.append(ident)
-        self._order_slots.append(slot)
 
-        if act.size:
-            order = np.lexsort((self._ids[act], d))[: self.k]
-            self._set_row(slot, act[order], d[order])
-        else:
-            self._set_row(slot, np.empty(0, dtype=np.int64), np.empty(0))
-        changed = {slot}
-        if act.size:
-            admit = (self._nvalid[act] < self.k) | (d < self._kdist[act])
-            for pos in np.flatnonzero(admit):
-                j = int(act[pos])
-                self._admit(j, float(d[pos]), slot)
-                changed.add(j)
-        if self.mode == "distance":
-            self._update_knn_scores(changed)
-        else:
-            self._density_cascade(changed)
+        order = np.lexsort((self._ids[act], d))[: self.k]
+        self._nbr[slot] = -1
+        self._nbrd[slot] = np.inf
+        self._nbr[slot, : order.size] = act[order]
+        self._nbrd[slot, : order.size] = d[order]
+        self._nvalid[slot] = order.size
+
+        # incumbents that admit the newcomer; it arrived last, so it goes
+        # after every neighbour at an equal distance (and an inf distance
+        # after the valid entries, not among the padding)
+        hit = ((self._nvalid[act] < self.k) | (d < self._nbrd[act, -1])).nonzero()[0]
+        rows, dr = act[hit], d[hit, None]
+        nbr, nbrd, nvalid = self._nbr[rows], self._nbrd[rows], self._nvalid[rows]
+        pos = np.minimum((nbrd <= dr).sum(axis=1), nvalid)[:, None]
+        before, at = self._col < pos, self._col == pos
+        self._nbr[rows] = np.where(before, nbr, np.where(at, slot, nbr[:, self._prev]))
+        self._nbrd[rows] = np.where(before, nbrd, np.where(at, dr, nbrd[:, self._prev]))
+        self._nvalid[rows] = np.minimum(nvalid + 1, self.k)
+        self._refresh(np.append(rows, slot))
 
     def remove(self, ident: int, feature=None):
-        if ident not in self._slot_of:
-            raise DegenerateGroupError(f"entry {ident} not in index")
-        slot = self._slot_of.pop(ident)
-        pos = self._order.index(ident)
-        del self._order[pos]
-        del self._order_slots[pos]
+        slot = self._release(ident)
         self._alive[slot] = False
         self._act_cache = None
-        self._free.append(slot)
         self._score[slot] = np.nan
         self._lrd[slot] = np.nan
         act = self._active()
-        changed: set[int] = set()
-        if act.size:
-            hit = act[(self._nbr[act, : self.k] == slot).any(axis=1)]
-            if hit.size:
-                self._rebuild_rows(hit)
-                changed.update(int(j) for j in hit)
-        if self.mode == "distance":
-            if changed:
-                self._update_knn_scores(changed)
-        else:
-            self._density_cascade(changed)
+        hit = act[(self._nbr[act] == slot).any(axis=1)]
+        if hit.size:
+            self._rebuild_rows(hit)
+            self._refresh(hit)
 
     def score(self, feature) -> float:
         """Nonconformity of a query point against the current group."""
@@ -338,17 +334,13 @@ class NeighborIndex:
         order = np.lexsort((self._ids[act], d))[: self.k]
         nn = act[order]
         dq = d[order]
-        reach = np.maximum(np.maximum(self._kdist[nn], dq), REACH_FLOOR)
+        reach = np.maximum(np.maximum(self._nbrd[nn, -1], dq), REACH_FLOOR)
         lrd_q = 1.0 / reach.mean()
         return float(self._lrd[nn].mean() / lrd_q)
 
     def member_scores(self) -> np.ndarray:
         """Cached leave-one-out scores in arrival order."""
-        rows = np.fromiter(self._order_slots, dtype=np.int64, count=len(self._order_slots))
-        return self._score[rows]
-
-    def member_features(self) -> np.ndarray:
-        return self._X[self._order_slots].copy()
+        return self._score[self._rows()]
 
     def recompute_member_scores(self) -> np.ndarray:
         feats = self.member_features()
@@ -358,13 +350,13 @@ class NeighborIndex:
 
     # cache views used by the equivalence tests
     def cached_kdistances(self) -> np.ndarray:
-        return self._kdist[self._order_slots].copy()
+        return self._nbrd[self._rows(), -1]
 
     def cached_lrds(self) -> np.ndarray:
-        return self._lrd[self._order_slots].copy()
+        return self._lrd[self._rows()]
 
 
-class ClusterModel:
+class ClusterModel(_SlotStore):
     """Incremental k-means summary of the group.
 
     New members join the cluster with the nearest centroid (running sums
@@ -375,11 +367,15 @@ class ClusterModel:
     recomputations assignments are order-dependent by construction.
     """
 
+    _WHAT = "cluster model"
+    _SLOT_FILLS = {"_assign": -1}
+
     def __init__(self, n_clusters: int, recompute_factor: float, rng: np.random.Generator):
         if n_clusters < 1:
             raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
         if recompute_factor <= 0:
             raise ConfigError(f"recompute_factor must be > 0, got {recompute_factor}")
+        super().__init__()
         self.n_clusters = n_clusters
         self.recompute_factor = recompute_factor
         self.rng = rng
@@ -388,12 +384,7 @@ class ClusterModel:
         self._counts = np.empty(0, dtype=np.int64)
         self._baseline: float | None = None
         self.recompute_count = 0
-        self._features: dict[int, np.ndarray] = {}
-        self._assign: dict[int, int] = {}
-        self._order: list[int] = []
-
-    def __len__(self):
-        return len(self._features)
+        self._assign = np.empty(0, dtype=np.int64)  # cluster of each slot
 
     def _ensure_dim(self, dim: int):
         if self.centroids.shape[1] != dim:
@@ -408,40 +399,36 @@ class ClusterModel:
 
     def insert(self, ident: int, feature):
         x = np.asarray(feature, dtype=float)
+        slot = self._claim(ident, x)
         self._ensure_dim(x.size)
-        self._features[ident] = x
-        self._order.append(ident)
         if len(self.centroids) < self.n_clusters and self._baseline is None:
-            self._assign[ident] = self._open_cluster(x)
+            self._assign[slot] = self._open_cluster(x)
         else:
             c = int(_distances(self.centroids, x).argmin())
-            self._assign[ident] = c
+            self._assign[slot] = c
             self._sums[c] += x
             self._counts[c] += 1
             self.centroids[c] = self._sums[c] / self._counts[c]
         self._check_drift()
 
     def remove(self, ident: int, feature=None):
-        if ident not in self._features:
-            raise DegenerateGroupError(f"entry {ident} not in cluster model")
-        x = self._features.pop(ident)
-        self._order.remove(ident)
-        c = self._assign.pop(ident)
-        self._sums[c] -= x
+        slot = self._release(ident)
+        c = self._assign[slot]
+        self._sums[c] -= self._X[slot]
         self._counts[c] -= 1
         if self._counts[c] > 0:
             self.centroids[c] = self._sums[c] / self._counts[c]
         self._check_drift()
 
     def _mean_distance(self) -> float:
-        if not self._order:
+        if not self._order_slots:
             return 0.0
-        feats = np.array([self._features[i] for i in self._order])
-        cents = self.centroids[[self._assign[i] for i in self._order]]
-        return float(np.sqrt(((feats - cents) ** 2).sum(axis=1)).mean())
+        rows = self._rows()
+        diff = self._X[rows] - self.centroids[self._assign[rows]]
+        return float(np.sqrt((diff**2).sum(axis=1)).mean())
 
     def _check_drift(self):
-        if len(self._features) < self.n_clusters:
+        if len(self) < self.n_clusters:
             return
         current = self._mean_distance()
         if self._baseline is None:
@@ -452,16 +439,15 @@ class ClusterModel:
 
     def recluster(self):
         """Full k-means over the current members; resets the drift baseline."""
-        feats = np.array([self._features[i] for i in self._order])
+        rows = self._rows()
+        feats = self._X[rows]
         centroids, assign = lloyd_kmeans(feats, self.n_clusters, self.rng)
         self.centroids = centroids
-        dim = centroids.shape[1]
-        self._sums = np.zeros((len(centroids), dim))
-        self._counts = np.zeros(len(centroids), dtype=np.int64)
-        for ident, c in zip(self._order, assign):
-            self._assign[ident] = int(c)
-            self._sums[c] += self._features[ident]
-            self._counts[c] += 1
+        self._assign[rows] = assign
+        # unbuffered, so each cluster sums its members in arrival order
+        self._sums = np.zeros_like(centroids)
+        np.add.at(self._sums, assign, feats)
+        self._counts = np.bincount(assign, minlength=len(centroids))
         self.recompute_count += 1
         self._baseline = self._mean_distance()
 
@@ -469,8 +455,7 @@ class ClusterModel:
         return cc_score(feature, self.centroids)
 
     def member_scores(self) -> np.ndarray:
-        feats = np.array([self._features[i] for i in self._order])
-        diff = feats[:, None, :] - self.centroids[None, :, :]
+        diff = self.member_features()[:, None, :] - self.centroids[None, :, :]
         return np.sqrt((diff**2).sum(axis=-1)).min(axis=1)
 
     # the model itself is the state, so the exact refresh coincides with it
@@ -519,6 +504,8 @@ class FrequencyMeasure:
         return len(self._words)
 
     def insert(self, ident: int, word: str):
+        if ident in self._words:
+            raise DegenerateGroupError(f"entry {ident} already in frequency measure")
         self.table.insert(word)
         self._words[ident] = word
         self._order.append(ident)

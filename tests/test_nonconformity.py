@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refstream.errors import DegenerateGroupError
 from refstream.nonconformity import (
@@ -10,6 +12,7 @@ from refstream.nonconformity import (
     FrequencyMeasure,
     FrequencyTable,
     NeighborIndex,
+    _member_lrds,
     batch_knn_scores,
     batch_lof_scores,
     cc_score,
@@ -264,6 +267,45 @@ class TestNeighborIndexDensity:
         np.testing.assert_allclose(idx.cached_kdistances(), want, atol=1e-12)
 
 
+class TestNeighborIndexChurn:
+    @given(
+        k=st.integers(1, 6),
+        mode=st.sampled_from(["distance", "density"]),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 99)),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_churn_keeps_caches_and_rows_exact(self, k, mode, ops):
+        # a 4x4 grid of features makes distance ties and coincident duplicates
+        idx = NeighborIndex(k, mode=mode)
+        alive, next_id = [], 1
+        for is_insert, a, b, pick in ops:
+            if is_insert or not alive:
+                idx.insert(next_id, (a / 2, b / 2))
+                alive.append(next_id)
+                next_id += 1
+            else:
+                idx.remove(alive.pop(pick % len(alive)))
+            feats = idx.member_features()
+            if len(alive) >= k + 1:
+                assert np.array_equal(idx.member_scores(), idx.recompute_member_scores())
+                if mode == "density":
+                    _, _, kdist, lrd = _member_lrds(feats, k)
+                    assert np.array_equal(idx.cached_kdistances(), kdist)
+                    assert np.array_equal(idx.cached_lrds(), lrd)
+            # each row lists the nearest members by (distance, arrival)
+            for i, ident in enumerate(alive):
+                d = np.sqrt(((feats - feats[i]) ** 2).sum(axis=1))
+                want = sorted((d[j], j) for j in range(len(alive)) if j != i)[:k]
+                slot = idx._slot_of[ident]
+                n = int(idx._nvalid[slot])
+                assert idx._ids[idx._nbr[slot, :n]].tolist() == [alive[j] for _, j in want]
+                assert idx._nbrd[slot, :n].tolist() == [dist for dist, _ in want]
+                assert (idx._nbr[slot, n:] == -1).all()
+
+
 # --- clustering ----------------------------------------------------------------
 
 
@@ -312,7 +354,7 @@ class TestClusterModel:
         rng = np.random.default_rng(3)
         for i in range(1, 41):
             model.insert(i, rng.normal(size=2) + (i % 3) * 8)
-        feats = np.array([model._features[i] for i in model._order])
+        feats = model.member_features()
         rng_copy = copy.deepcopy(model.rng)
         model.recluster()
         want, _ = lloyd_kmeans(feats, 3, rng_copy)
@@ -330,6 +372,16 @@ class TestClusterModel:
                 model.remove(victim)
                 del alive[victim]
             assert model._counts.sum() == len(alive)
+
+    def test_repeated_id_rejected(self):
+        model = ClusterModel(2, 0.25, np.random.default_rng(7))
+        model.insert(1, (0.0, 0.0))
+        model.insert(2, (1.0, 0.0))
+        with pytest.raises(DegenerateGroupError, match="entry 1 already in"):
+            model.insert(1, (5.0, 5.0))
+        assert len(model) == 2
+        assert model._counts.sum() == 2
+        assert len(model.member_scores()) == 2
 
     def test_member_scores_are_centroid_distances(self):
         model = ClusterModel(2, 0.25, np.random.default_rng(6))
@@ -373,6 +425,14 @@ class TestFrequency:
     def test_empty_table_rejected(self):
         with pytest.raises(DegenerateGroupError):
             FrequencyTable().score("ab")
+
+    def test_measure_rejects_repeated_id(self):
+        measure = FrequencyMeasure()
+        measure.insert(1, "ab")
+        with pytest.raises(DegenerateGroupError, match="entry 1 already in"):
+            measure.insert(1, "cd")
+        assert len(measure) == 1
+        assert measure.table.total == 1
 
     def test_measure_tracks_recomputation(self):
         measure = FrequencyMeasure()
