@@ -7,10 +7,20 @@ streaming structure mirrors the reference group exactly and keeps cached
 per-member leave-one-out scores that must match a from-scratch
 recomputation.
 
+Every Euclidean distance in this module, batch or incremental, comes from
+one kernel, ``_distances``. For the two-column (mean, std) features the
+pipeline makes, it works column by column and adds the two squares
+explicitly: the same sum numpy's reduction over that axis computes,
+without the cost of broadcasting over a length-2 inner axis or of the
+reduction itself.
+
 Neighbour ordering is deterministic everywhere: ties in distance are
-broken by arrival time. Reachability distances are floored at a small
-constant so coincident duplicates keep densities finite (a fully
-coincident group scores LOF 1).
+broken by arrival. The batch functions see members in arrival order and
+sort stably; the incremental structures give each slot an arrival
+sequence number when it is claimed and break ties by it, whatever ids the
+caller uses. Reachability distances are floored at a small constant so
+coincident duplicates keep densities finite (a fully coincident group
+scores LOF 1).
 """
 
 from __future__ import annotations
@@ -27,12 +37,17 @@ REACH_FLOOR = 1e-12
 
 
 def _distances(features: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.sqrt(((features - x) ** 2).sum(axis=1))
+    """Euclidean distances between features and x over the last axis (broadcasting)."""
+    if features.shape[-1] == 2:
+        d0 = features[..., 0] - x[..., 0]
+        d1 = features[..., 1] - x[..., 1]
+        return np.sqrt(d0 * d0 + d1 * d1)
+    diff = features - x
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def _pairwise(features: np.ndarray) -> np.ndarray:
-    diff = features[:, None, :] - features[None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1))
+    return _distances(features[:, None, :], features[None, :, :])
 
 
 def knn_score(x, features, k: int) -> float:
@@ -134,8 +149,9 @@ class _SlotStore:
 
     A removed member's slot goes on a free list for a later insert to
     reuse, so per-slot arrays never move; ``_order_slots`` lists the
-    occupied slots in arrival order. A subclass names its own per-slot
-    arrays and their fill values in ``_SLOT_FILLS``.
+    occupied slots in arrival order, and ``_seq`` numbers each slot's
+    member by arrival, for breaking distance ties. A subclass names its
+    own per-slot arrays and their fill values in ``_SLOT_FILLS``.
     """
 
     _WHAT: str  # names the structure in errors
@@ -144,6 +160,8 @@ class _SlotStore:
     def __init__(self):
         self._cap = 0
         self._X = np.empty((0, 0))
+        self._seq = np.empty(0, dtype=np.int64)
+        self._arrivals = 0
         self._slot_of: dict[int, int] = {}
         self._order_slots: list[int] = []
         self._free: list[int] = []
@@ -153,7 +171,7 @@ class _SlotStore:
 
     def _grow(self):
         new_cap = max(64, self._cap * 2)
-        for name, fill in {"_X": 0.0, **self._SLOT_FILLS}.items():
+        for name, fill in {"_X": 0.0, "_seq": 0, **self._SLOT_FILLS}.items():
             old = getattr(self, name)
             new = np.full((new_cap,) + old.shape[1:], fill, dtype=old.dtype)
             new[: self._cap] = old
@@ -170,6 +188,8 @@ class _SlotStore:
             self._grow()
         slot = self._free.pop()
         self._X[slot] = x
+        self._seq[slot] = self._arrivals
+        self._arrivals += 1
         self._slot_of[ident] = slot
         self._order_slots.append(slot)
         return slot
@@ -200,11 +220,13 @@ class NeighborIndex(_SlotStore):
     fixed number of array operations: boolean slot masks find the rows a
     change reaches, and gathers over the (slot, k) neighbour table update
     them together. A row's k-distance is its last neighbour distance,
-    which stays inf until the row has k neighbours.
+    which stays inf until the row has k neighbours. The occupied slots
+    and their features are gathered once per change of the group, so a
+    group that stops changing scores queries without gathering.
     """
 
     _WHAT = "index"
-    _SLOT_FILLS = {"_ids": 0, "_alive": False, "_nbr": -1, "_nbrd": np.inf,
+    _SLOT_FILLS = {"_alive": False, "_nbr": -1, "_nbrd": np.inf,
                    "_nvalid": 0, "_lrd": np.nan, "_score": np.nan}
 
     def __init__(self, k: int, mode: str = "distance"):
@@ -215,7 +237,6 @@ class NeighborIndex(_SlotStore):
         super().__init__()
         self.k = k
         self.mode = mode
-        self._ids = np.empty(0, dtype=np.int64)
         self._alive = np.empty(0, dtype=bool)
         self._nbr = np.empty((0, k), dtype=np.int64)  # slot numbers, -1 padded
         self._nbrd = np.empty((0, k))  # their distances, inf padded
@@ -223,21 +244,31 @@ class NeighborIndex(_SlotStore):
         self._lrd = np.empty(0)
         self._score = np.empty(0)
         self._act_cache: np.ndarray | None = None
+        self._xact_cache: np.ndarray | None = None
         self._col = np.arange(k)
         self._prev = np.maximum(self._col - 1, 0)  # source column of a shift right
 
     def _active(self) -> np.ndarray:
+        """Occupied slots, ascending."""
         if self._act_cache is None:
             self._act_cache = self._alive.nonzero()[0]
         return self._act_cache
 
+    def _active_features(self) -> np.ndarray:
+        """Features of the occupied slots, in the order of ``_active``."""
+        if self._xact_cache is None:
+            self._xact_cache = self._X[self._active()]
+        return self._xact_cache
+
+    def _group_changed(self):
+        self._act_cache = self._xact_cache = None
+
     def _rebuild_rows(self, slots: np.ndarray):
         act = self._active()
-        block = self._X[slots][:, None, :] - self._X[act][None, :, :]
-        dist = np.sqrt((block**2).sum(axis=-1))
+        dist = _distances(self._X[slots][:, None, :], self._active_features()[None, :, :])
         dist[np.arange(len(slots)), np.searchsorted(act, slots)] = np.inf
         take = min(self.k, act.size - 1)
-        order = np.lexsort((np.broadcast_to(self._ids[act], dist.shape), dist), axis=-1)
+        order = np.lexsort((np.broadcast_to(self._seq[act], dist.shape), dist), axis=-1)
         order = order[:, :take]
         self._nbr[slots, :take] = act[order]
         self._nbrd[slots, :take] = np.take_along_axis(dist, order, axis=1)
@@ -277,13 +308,12 @@ class NeighborIndex(_SlotStore):
     def insert(self, ident: int, feature):
         x = np.asarray(feature, dtype=float)
         act = self._active()
-        d = _distances(self._X[act], x) if act.size else np.empty(0)
+        d = _distances(self._active_features(), x) if act.size else np.empty(0)
         slot = self._claim(ident, x)
-        self._ids[slot] = ident
         self._alive[slot] = True
-        self._act_cache = None
+        self._group_changed()
 
-        order = np.lexsort((self._ids[act], d))[: self.k]
+        order = np.lexsort((self._seq[act], d))[: self.k]
         self._nbr[slot] = -1
         self._nbrd[slot] = np.inf
         self._nbr[slot, : order.size] = act[order]
@@ -306,7 +336,7 @@ class NeighborIndex(_SlotStore):
     def remove(self, ident: int, feature=None):
         slot = self._release(ident)
         self._alive[slot] = False
-        self._act_cache = None
+        self._group_changed()
         self._score[slot] = np.nan
         self._lrd[slot] = np.nan
         act = self._active()
@@ -318,25 +348,23 @@ class NeighborIndex(_SlotStore):
     def score(self, feature) -> float:
         """Nonconformity of a query point against the current group."""
         x = np.asarray(feature, dtype=float)
-        act = self._active()
+        act, k = self._active(), self.k
         if self.mode == "distance":
-            if act.size < self.k:
-                raise DegenerateGroupError(
-                    f"need at least k={self.k} entries, have {act.size}"
-                )
-            d = _distances(self._X[act], x)
-            return float(np.partition(d, self.k - 1)[: self.k].mean())
-        if act.size < self.k + 1:
-            raise DegenerateGroupError(
-                f"need at least k+1={self.k + 1} entries, have {act.size}"
-            )
-        d = _distances(self._X[act], x)
-        order = np.lexsort((self._ids[act], d))[: self.k]
+            if act.size < k:
+                raise DegenerateGroupError(f"need at least k={k} entries, have {act.size}")
+            d = _distances(self._active_features(), x)
+            return float(np.partition(d, k - 1)[:k].sum() / k)
+        if act.size < k + 1:
+            raise DegenerateGroupError(f"need at least k+1={k + 1} entries, have {act.size}")
+        d = _distances(self._active_features(), x)
+        # the first k by (distance, arrival) all lie at or below the k-th
+        # smallest distance, so only those entries need sorting
+        near = (d <= np.partition(d, k - 1)[k - 1]).nonzero()[0]
+        order = near[np.lexsort((self._seq[act[near]], d[near]))[:k]]
         nn = act[order]
-        dq = d[order]
-        reach = np.maximum(np.maximum(self._nbrd[nn, -1], dq), REACH_FLOOR)
-        lrd_q = 1.0 / reach.mean()
-        return float(self._lrd[nn].mean() / lrd_q)
+        reach = np.maximum(np.maximum(self._nbrd[nn, -1], d[order]), REACH_FLOOR)
+        lrd_q = 1.0 / (reach.sum() / k)
+        return float(self._lrd[nn].sum() / k / lrd_q)
 
     def member_scores(self) -> np.ndarray:
         """Cached leave-one-out scores in arrival order."""
@@ -424,8 +452,7 @@ class ClusterModel(_SlotStore):
         if not self._order_slots:
             return 0.0
         rows = self._rows()
-        diff = self._X[rows] - self.centroids[self._assign[rows]]
-        return float(np.sqrt((diff**2).sum(axis=1)).mean())
+        return float(_distances(self._X[rows], self.centroids[self._assign[rows]]).mean())
 
     def _check_drift(self):
         if len(self) < self.n_clusters:
@@ -455,8 +482,7 @@ class ClusterModel(_SlotStore):
         return cc_score(feature, self.centroids)
 
     def member_scores(self) -> np.ndarray:
-        diff = self.member_features()[:, None, :] - self.centroids[None, :, :]
-        return np.sqrt((diff**2).sum(axis=-1)).min(axis=1)
+        return _distances(self.member_features()[:, None, :], self.centroids).min(axis=1)
 
     # the model itself is the state, so the exact refresh coincides with it
     recompute_member_scores = member_scores
@@ -497,8 +523,7 @@ class FrequencyMeasure:
 
     def __init__(self):
         self.table = FrequencyTable()
-        self._words: dict[int, str] = {}
-        self._order: list[int] = []
+        self._words: dict[int, str] = {}  # insertion order is arrival order
 
     def __len__(self):
         return len(self._words)
@@ -508,29 +533,25 @@ class FrequencyMeasure:
             raise DegenerateGroupError(f"entry {ident} already in frequency measure")
         self.table.insert(word)
         self._words[ident] = word
-        self._order.append(ident)
 
     def remove(self, ident: int, word: str | None = None):
         if ident not in self._words:
             raise DegenerateGroupError(f"entry {ident} not in frequency measure")
         self.table.remove(self._words.pop(ident))
-        self._order.remove(ident)
 
     def score(self, word: str) -> float:
         return self.table.score(word)
 
-    def member_scores(self) -> np.ndarray:
+    def _loo_scores(self, table: FrequencyTable) -> np.ndarray:
         # leave-one-out: dropping x_i shrinks the group and its own count by one
-        m = self.table.total
-        return np.array(
-            [(m - 1) / self.table.frequency(self._words[i]) for i in self._order]
-        )
+        counts = np.array([table.counts[w] for w in self._words.values()], dtype=np.int64)
+        return (table.total - 1) / counts
+
+    def member_scores(self) -> np.ndarray:
+        return self._loo_scores(self.table)
 
     def recompute_member_scores(self) -> np.ndarray:
         fresh = FrequencyTable()
-        for i in self._order:
-            fresh.insert(self._words[i])
-        m = fresh.total
-        return np.array(
-            [(m - 1) / fresh.frequency(self._words[i]) for i in self._order]
-        )
+        for word in self._words.values():
+            fresh.insert(word)
+        return self._loo_scores(fresh)

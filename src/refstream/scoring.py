@@ -46,7 +46,7 @@ def _ecdf_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sup_distance(p_sorted: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> float:
-    return float(max((upper - p_sorted).max(), (p_sorted - lower).max(), 0.0))
+    return float(max(np.maximum.reduce(upper - p_sorted), np.maximum.reduce(p_sorted - lower), 0.0))
 
 
 def ks_statistic(p_values) -> float:
@@ -185,10 +185,10 @@ class AnomalyScorer:
         srt = self._sorted
         n = len(self.window)
         if n == self.ks_window:
-            gap = int(np.searchsorted(srt[:n], self.window[0]))
+            gap = int(srt[:n].searchsorted(self.window[0]))
             srt[gap : n - 1] = srt[gap + 1 : n]
             n -= 1
-        pos = int(np.searchsorted(srt[:n], pv, side="right"))
+        pos = int(srt[:n].searchsorted(pv, side="right"))
         srt[pos + 1 : n + 1] = srt[pos:n]
         srt[pos] = pv
         self.window.append(pv)

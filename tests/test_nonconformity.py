@@ -81,14 +81,16 @@ class TestKnn:
             knn_score((0, 0), [(1, 1)], 2)
 
     def test_matches_brute_force(self):
+        # widths other than the pipeline's two columns take the kernel's general path
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            feats = rng.normal(size=(rng.integers(5, 40), 2))
-            x = rng.normal(size=2)
-            k = int(rng.integers(1, 5))
-            assert knn_score(x, feats, k) == pytest.approx(
-                brute_knn(x, feats.tolist(), k), abs=1e-9
-            )
+        for dim in (2, 1, 3):
+            for _ in range(50):
+                feats = rng.normal(size=(rng.integers(5, 40), dim))
+                x = rng.normal(size=dim)
+                k = int(rng.integers(1, 5))
+                assert knn_score(x, feats, k) == pytest.approx(
+                    brute_knn(x, feats.tolist(), k), abs=1e-9
+                )
 
     def test_adding_closer_point_never_increases(self):
         rng = np.random.default_rng(1)
@@ -278,30 +280,37 @@ class TestNeighborIndexChurn:
     )
     @settings(max_examples=150, deadline=None)
     def test_churn_keeps_caches_and_rows_exact(self, k, mode, ops):
-        # a 4x4 grid of features makes distance ties and coincident duplicates
+        # a 4x4 grid of features makes distance ties and coincident
+        # duplicates; ids fall as arrivals rise, so ordering ties by id fails
         idx = NeighborIndex(k, mode=mode)
-        alive, next_id = [], 1
+        alive, next_id = [], 1000
         for is_insert, a, b, pick in ops:
             if is_insert or not alive:
                 idx.insert(next_id, (a / 2, b / 2))
                 alive.append(next_id)
-                next_id += 1
+                next_id -= 1
             else:
                 idx.remove(alive.pop(pick % len(alive)))
             feats = idx.member_features()
+            query = (b / 2, pick % 4 / 2)  # on the grid, so ties reach the k-th place
             if len(alive) >= k + 1:
                 assert np.array_equal(idx.member_scores(), idx.recompute_member_scores())
                 if mode == "density":
                     _, _, kdist, lrd = _member_lrds(feats, k)
                     assert np.array_equal(idx.cached_kdistances(), kdist)
                     assert np.array_equal(idx.cached_lrds(), lrd)
+                    assert idx.score(query) == lof_score(query, feats, k)
+                else:
+                    assert idx.score(query) == knn_score(query, feats, k)
             # each row lists the nearest members by (distance, arrival)
+            ident_of = {slot: ident for ident, slot in idx._slot_of.items()}
             for i, ident in enumerate(alive):
                 d = np.sqrt(((feats - feats[i]) ** 2).sum(axis=1))
                 want = sorted((d[j], j) for j in range(len(alive)) if j != i)[:k]
                 slot = idx._slot_of[ident]
                 n = int(idx._nvalid[slot])
-                assert idx._ids[idx._nbr[slot, :n]].tolist() == [alive[j] for _, j in want]
+                got = [ident_of[s] for s in idx._nbr[slot, :n].tolist()]
+                assert got == [alive[j] for _, j in want]
                 assert idx._nbrd[slot, :n].tolist() == [dist for dist, _ in want]
                 assert (idx._nbr[slot, n:] == -1).all()
 

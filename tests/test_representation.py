@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from refstream.errors import ConfigError
 from refstream.representation import (
+    SAX_ALPHABET,
     MeanStdFeatures,
     SaxFeatures,
     breakpoints,
     meanstd_transform,
+    paa,
     sax_transform,
     symbolize,
 )
@@ -134,3 +136,53 @@ class TestSax:
             SaxFeatures(5, 2, 3)
         with pytest.raises(ConfigError):
             SaxFeatures(4, 2, 1)
+
+
+# --- streaming features against numpy's own reductions --------------------------
+
+# runs of repeated values give constant windows, including ones whose float
+# mean is inexact
+RUNS = st.lists(st.tuples(st.floats(-1e3, 1e3), st.integers(1, 12)), min_size=1, max_size=12)
+
+
+def last_windows(runs, window):
+    """Each value of the runs, with the last `window` values up to it (None until it fills)."""
+    values = [v for v, repeat in runs for _ in range(repeat)]
+    for i in range(len(values)):
+        yield values[i], (np.array(values[i + 1 - window : i + 1]) if i + 1 >= window else None)
+
+
+def numpy_sax(x, segments, alphabet_size):
+    sd = x.std()
+    if np.all(x == x[0]) or sd == 0.0:
+        return SAX_ALPHABET[(alphabet_size + 1) // 2 - 1] * segments
+    z = (x - x.mean()) / sd
+    return symbolize(z.reshape(segments, -1).mean(axis=1), alphabet_size)
+
+
+class TestStreamingMatchesNumpy:
+    # windows on both sides of numpy's 8-element pairwise-summation block
+    @given(RUNS, st.sampled_from([1, 4, 7, 8, 10, 16]))
+    @settings(deadline=None)
+    def test_meanstd_push_is_bitwise_numpy(self, runs, window):
+        feats = MeanStdFeatures(window)
+        for value, x in last_windows(runs, window):
+            out = feats.push(value)
+            if x is None:
+                assert out is None
+            else:
+                assert np.array_equal(out, [x.mean(), x.std()])
+
+    @given(RUNS, st.sampled_from([(1, 1), (4, 2), (7, 7), (8, 4), (10, 5), (16, 4)]),
+           st.integers(2, 8))
+    @settings(deadline=None)
+    def test_sax_push_is_bitwise_numpy(self, runs, shape, alphabet_size):
+        window, segments = shape
+        feats = SaxFeatures(window, segments, alphabet_size)
+        for value, x in last_windows(runs, window):
+            word = feats.push(value)
+            if x is None:
+                assert word is None
+            else:
+                assert np.array_equal(paa(x, segments), x.reshape(segments, -1).mean(axis=1))
+                assert word == numpy_sax(x, segments, alphabet_size)
