@@ -8,11 +8,11 @@ per-member leave-one-out scores that must match a from-scratch
 recomputation.
 
 Every Euclidean distance in this module, batch or incremental, comes from
-one kernel, ``_distances``. For the two-column (mean, std) features the
-pipeline makes, it works column by column and adds the two squares
-explicitly: the same sum numpy's reduction over that axis computes,
-without the cost of broadcasting over a length-2 inner axis or of the
-reduction itself.
+one kernel, ``_distances``. It rejects a query whose width differs from
+the features', then subtracts, squares and adds column by column. For the
+two-column (mean, std) features the pipeline makes this is the same sum
+numpy's reduction over that axis computes, without the cost of
+broadcasting over a length-2 inner axis or of the reduction itself.
 
 Neighbour ordering is deterministic everywhere: ties in distance are
 broken by arrival. The batch functions see members in arrival order and
@@ -37,13 +37,19 @@ REACH_FLOOR = 1e-12
 
 
 def _distances(features: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Euclidean distances between features and x over the last axis (broadcasting)."""
-    if features.shape[-1] == 2:
-        d0 = features[..., 0] - x[..., 0]
-        d1 = features[..., 1] - x[..., 1]
-        return np.sqrt(d0 * d0 + d1 * d1)
-    diff = features - x
-    return np.sqrt((diff * diff).sum(axis=-1))
+    """Euclidean distances between features and x over the last axis (broadcasting).
+
+    Both must have the same number of columns; the other axes broadcast.
+    """
+    width = features.shape[-1]
+    if x.shape[-1] != width:
+        raise ValueError(f"query has {x.shape[-1]} columns, features have {width}")
+    d = features[..., 0] - x[..., 0]
+    sq = d * d
+    for j in range(1, width):
+        d = features[..., j] - x[..., j]
+        sq = sq + d * d
+    return np.sqrt(sq)
 
 
 def _pairwise(features: np.ndarray) -> np.ndarray:

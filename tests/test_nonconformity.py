@@ -81,7 +81,7 @@ class TestKnn:
             knn_score((0, 0), [(1, 1)], 2)
 
     def test_matches_brute_force(self):
-        # widths other than the pipeline's two columns take the kernel's general path
+        # the kernel adds one squared column at a time, so cover more than two
         rng = np.random.default_rng(0)
         for dim in (2, 1, 3):
             for _ in range(50):
@@ -91,6 +91,14 @@ class TestKnn:
                 assert knn_score(x, feats, k) == pytest.approx(
                     brute_knn(x, feats.tolist(), k), abs=1e-9
                 )
+
+    def test_query_of_another_width_rejected(self):
+        feats = np.random.default_rng(0).normal(size=(8, 2))
+        for score in (lambda q: knn_score(q, feats, 2), lambda q: lof_score(q, feats, 2),
+                      lambda q: cc_score(q, feats)):
+            for query in ((0.0, 0.0, 5.0), (0.0,)):
+                with pytest.raises(ValueError, match="columns"):
+                    score(query)
 
     def test_adding_closer_point_never_increases(self):
         rng = np.random.default_rng(1)
