@@ -4,10 +4,12 @@ A detector consumes stream points one at a time. During the probationary
 prefix it only learns; at the probation boundary it seeds the scorer with
 leave-one-out nonconformity scores of the reference group; afterwards each
 point is scored first and learned second, so the anomaly-aware reservoir
-sees the score emitted for the same timestamp. After every group update
-the stored reference scores are refreshed against the new group, either
-incrementally or by full recomputation; a step that admits and evicts
-nothing keeps the stored scores, which are then still exact.
+sees the score emitted for the same timestamp. The strategy reports the
+arrivals it admits and evicts, and the detector hands its own feature to
+the measure's ``insert``. After every group update the stored reference
+scores are refreshed against the new group, either incrementally or by
+full recomputation; a step that admits and evicts nothing keeps the
+stored scores, which are then still exact.
 """
 
 from __future__ import annotations
@@ -110,6 +112,8 @@ class DetectorConfig:
                 )
         if self.window is not None and self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
+        if self.landmark < 0:
+            raise ConfigError(f"landmark must be >= 0, got {self.landmark}")
         if not 0.0 < self.decay <= 1.0:
             raise ConfigError(f"decay must be in (0, 1], got {self.decay}")
         if self.k < 1:
@@ -210,11 +214,11 @@ class Detector:
     def group_size(self) -> int:
         return len(self.strategy)
 
-    def _apply_update(self, added, removed):
+    def _apply_update(self, feature, added, removed):
         if removed is not None:
-            self.measure.remove(removed.arrival, removed.feature)
+            self.measure.remove(removed)
         if added is not None:
-            self.measure.insert(added.arrival, added.feature)
+            self.measure.insert(added, feature)
 
     def _reference_scores(self) -> np.ndarray:
         if self.config.refresh == "exact":
@@ -245,7 +249,7 @@ class Detector:
 
         if t <= self.probation_len:
             added, removed = self.strategy.update(feature, t, 0.0)
-            self._apply_update(added, removed)
+            self._apply_update(feature, added, removed)
             if t == self.probation_len:
                 self._bootstrap()
             return None
@@ -260,7 +264,7 @@ class Detector:
 
         added, removed = self.strategy.update(feature, t, final)
         if added is not None or removed is not None:
-            self._apply_update(added, removed)
+            self._apply_update(feature, added, removed)
             self.scorer.set_reference_scores(self._reference_scores())
         return record
 

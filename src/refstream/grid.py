@@ -52,6 +52,12 @@ SCORE_COLUMNS = ("timestamp", "nonconformity", "p_value", "final_score", "flagge
 
 
 class ScoreRow(NamedTuple):
+    """One line of a score CSV: a ``ScoreRecord`` without ``ks_significance``.
+
+    The score CSV omits the K-S significance on purpose; its columns and
+    bytes are fixed, so this row type stays separate from ``ScoreRecord``.
+    """
+
     timestamp: int
     nonconformity: float
     p_value: float

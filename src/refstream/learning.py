@@ -1,31 +1,22 @@
 """Reference-group maintenance policies.
 
-Every strategy consumes one feature per step and reports which entry it
-admitted and which it evicted, so downstream structures can mirror the
-group incrementally. The reservoir strategies own their RNG; an update is
-the only operation that consumes randomness.
+Every strategy decides from ``(t, score)`` whether the current point joins
+the group and which member it displaces, and reports both as arrivals:
+``update`` returns ``(t or None, evicted arrival or None)``. Strategies
+keep no features; the measure's store is the group's only copy. The
+``feature`` argument of ``update`` is unused and stays so that callers and
+wrappers of ``update`` keep one positional shape. The reservoir strategies
+own their RNG; an update is the only operation that consumes randomness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
 
 import numpy as np
 
 _NO_ARRIVAL = np.iinfo(np.int64).max
-
-
-@dataclass
-class ReferenceEntry:
-    """One member of the reference group.
-
-    ``priority`` is populated by the reservoir strategies only.
-    """
-
-    feature: object
-    arrival: int
-    priority: float | None = None
 
 
 def ares_weight(score: float, decay: float) -> float:
@@ -36,21 +27,20 @@ def ares_weight(score: float, decay: float) -> float:
 
 
 class FixedReference:
-    """Static group: collects features during probation, frozen afterwards."""
+    """Static group: admits every point of probation, frozen afterwards."""
 
     def __init__(self, probation_len: int):
         self.probation_len = probation_len
-        self.entries: list[ReferenceEntry] = []
+        self.size = 0
 
     def __len__(self):
-        return len(self.entries)
+        return self.size
 
     def update(self, feature, t: int, score: float = 0.0):
         if t > self.probation_len:
             return None, None
-        entry = ReferenceEntry(feature, t)
-        self.entries.append(entry)
-        return entry, None
+        self.size += 1
+        return t, None
 
 
 class LandmarkWindow:
@@ -58,38 +48,34 @@ class LandmarkWindow:
 
     def __init__(self, landmark: int = 0):
         self.landmark = landmark
-        self.entries: list[ReferenceEntry] = []
+        self.size = 0
 
     def __len__(self):
-        return len(self.entries)
+        return self.size
 
     def update(self, feature, t: int, score: float = 0.0):
         if t <= self.landmark:
             return None, None
-        entry = ReferenceEntry(feature, t)
-        self.entries.append(entry)
-        return entry, None
+        self.size += 1
+        return t, None
 
 
 class SlidingWindow:
-    """Keeps exactly the ``window`` most recent features."""
+    """Keeps exactly the ``window`` most recent arrivals."""
 
     def __init__(self, window: int):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
-        self.entries: list[ReferenceEntry] = []
+        self.arrivals: deque[int] = deque()
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.arrivals)
 
     def update(self, feature, t: int, score: float = 0.0):
-        evicted = None
-        if len(self.entries) == self.window:
-            evicted = self.entries.pop(0)
-        entry = ReferenceEntry(feature, t)
-        self.entries.append(entry)
-        return entry, evicted
+        evicted = self.arrivals.popleft() if len(self.arrivals) == self.window else None
+        self.arrivals.append(t)
+        return t, evicted
 
 
 class UniformReservoir:
@@ -104,24 +90,22 @@ class UniformReservoir:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
         self.rng = rng
-        self.entries: list[ReferenceEntry] = []
+        self.arrivals: list[int] = []
         self.seen = 0
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.arrivals)
 
     def update(self, feature, t: int, score: float = 0.0):
         self.seen += 1
-        if len(self.entries) < self.window:
-            entry = ReferenceEntry(feature, t)
-            self.entries.append(entry)
-            return entry, None
+        if len(self.arrivals) < self.window:
+            self.arrivals.append(t)
+            return t, None
         if self.rng.random() < self.window / self.seen:
             idx = int(self.rng.integers(self.window))
-            evicted = self.entries[idx]
-            entry = ReferenceEntry(feature, t)
-            self.entries[idx] = entry
-            return entry, evicted
+            evicted = self.arrivals[idx]
+            self.arrivals[idx] = t
+            return t, evicted
         return None, None
 
 
@@ -132,7 +116,8 @@ class AnomalyAwareReservoir:
     u ~ Uniform(0, 1), so high anomaly scores push priorities toward zero.
     Once the reservoir is full, an arrival replaces the oldest member whose
     priority is strictly below its own; with no such candidate it is
-    discarded. Ties keep the incumbent.
+    discarded. Ties keep the incumbent. The first ``size`` entries of
+    ``_priorities`` and ``_arrivals`` hold the members.
     """
 
     def __init__(self, window: int, decay: float, rng: np.random.Generator):
@@ -143,12 +128,12 @@ class AnomalyAwareReservoir:
         self.window = window
         self.decay = decay
         self.rng = rng
-        self.entries: list[ReferenceEntry] = []
+        self.size = 0
         self._priorities = np.empty(window, dtype=float)
         self._arrivals = np.full(window, _NO_ARRIVAL, dtype=np.int64)
 
     def __len__(self):
-        return len(self.entries)
+        return self.size
 
     def _draw_priority(self, score: float) -> float:
         u = self.rng.random()
@@ -158,20 +143,16 @@ class AnomalyAwareReservoir:
 
     def update(self, feature, t: int, score: float = 0.0):
         p_t = self._draw_priority(score)
-        n = len(self.entries)
-        if n < self.window:
-            entry = ReferenceEntry(feature, t, p_t)
-            self._priorities[n] = p_t
-            self._arrivals[n] = t
-            self.entries.append(entry)
-            return entry, None
+        if self.size < self.window:
+            self._priorities[self.size] = p_t
+            self._arrivals[self.size] = t
+            self.size += 1
+            return t, None
         candidates = self._priorities < p_t
         if not candidates.any():
             return None, None
         idx = int(np.where(candidates, self._arrivals, _NO_ARRIVAL).argmin())
-        evicted = self.entries[idx]
-        entry = ReferenceEntry(feature, t, p_t)
-        self.entries[idx] = entry
+        evicted = int(self._arrivals[idx])
         self._priorities[idx] = p_t
         self._arrivals[idx] = t
-        return entry, evicted
+        return t, evicted

@@ -3,8 +3,9 @@
 Four measures are provided: average k-NN distance, local outlier factor
 with incremental maintenance, distance to the nearest centroid of an
 incrementally maintained k-means model, and SAX-word frequency. Each
-streaming structure mirrors the reference group exactly and keeps cached
-per-member leave-one-out scores that must match a from-scratch
+streaming structure is the reference group's only feature store: members
+are inserted with their feature and removed by id alone. Each keeps
+cached per-member leave-one-out scores that must match a from-scratch
 recomputation.
 
 Every Euclidean distance in this module, batch or incremental, comes from
@@ -339,7 +340,7 @@ class NeighborIndex(_SlotStore):
         self._nvalid[rows] = np.minimum(nvalid + 1, self.k)
         self._refresh(np.append(rows, slot))
 
-    def remove(self, ident: int, feature=None):
+    def remove(self, ident: int):
         slot = self._release(ident)
         self._alive[slot] = False
         self._group_changed()
@@ -445,7 +446,7 @@ class ClusterModel(_SlotStore):
             self.centroids[c] = self._sums[c] / self._counts[c]
         self._check_drift()
 
-    def remove(self, ident: int, feature=None):
+    def remove(self, ident: int):
         slot = self._release(ident)
         c = self._assign[slot]
         self._sums[c] -= self._X[slot]
@@ -540,7 +541,7 @@ class FrequencyMeasure:
         self.table.insert(word)
         self._words[ident] = word
 
-    def remove(self, ident: int, word: str | None = None):
+    def remove(self, ident: int):
         if ident not in self._words:
             raise DegenerateGroupError(f"entry {ident} not in frequency measure")
         self.table.remove(self._words.pop(ident))

@@ -38,8 +38,8 @@ def test_criterion_01_reservoir_uniformity():
         ures = UniformReservoir(w, np.random.default_rng(seed))
         for t in range(1, length + 1):
             ures.update(t, t)
-        for entry in ures.entries:
-            counts[entry.arrival - 1] += 1
+        for arrival in ures.arrivals:
+            counts[arrival - 1] += 1
     rates = counts / trials
     assert rates.mean() == pytest.approx(w / length, abs=1e-12)
     _, pvalue = stats.chisquare(counts)
@@ -63,8 +63,8 @@ def test_criterion_02_ares_anomaly_suppression():
             score = 5.0 if t in marked else 0.0
             ares.update(t, t, score)
             ures.update(t, t, score)
-        marked_ares.append(sum(e.arrival in marked for e in ares.entries) / w)
-        marked_ures.append(sum(e.arrival in marked for e in ures.entries) / w)
+        marked_ares.append(sum(int(a) in marked for a in ares._arrivals[: len(ares)]) / w)
+        marked_ures.append(sum(a in marked for a in ures.arrivals) / w)
     ares_mean = float(np.mean(marked_ares))
     ures_mean = float(np.mean(marked_ures))
     elapsed = time.perf_counter() - start

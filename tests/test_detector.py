@@ -12,7 +12,8 @@ from refstream.detector import (
     named_config,
 )
 from refstream.errors import ConfigError, DataError
-from refstream.learning import ares_weight
+from refstream.learning import AnomalyAwareReservoir, ares_weight
+from refstream.nonconformity import FrequencyMeasure
 from refstream.synthetic import gaussian_stream
 
 
@@ -47,6 +48,8 @@ class TestConfig:
             build_detector(DetectorConfig(decay=0.0), n_points=100)
         with pytest.raises(ConfigError, match="probationary_fraction"):
             build_detector(DetectorConfig(probationary_fraction=1.0), n_points=100)
+        with pytest.raises(ConfigError, match="landmark"):
+            build_detector(named_config("lw-nn", landmark=-5), n_points=100)
 
     def test_unresolved_length_rejected(self):
         with pytest.raises(ConfigError, match="probation"):
@@ -98,6 +101,33 @@ class TestProbationaryContract:
         settle = det.probation_len + 2 * det.config.ks_window
         tail = [r for r in recs if r.timestamp > settle]
         assert tail and all(not r.flagged for r in tail)
+
+
+class TestGroupAgreement:
+    """The strategy and the measure hold the same group after every point."""
+
+    @pytest.mark.parametrize("name", DETECTOR_GRID)
+    def test_strategy_and_measure_agree_after_late_seed(self, name):
+        # t = p is missing, so the scorer is seeded at the first t > p
+        det = build_detector(named_config(name, k=3, seed=4, probation_len=50))
+        points = [StreamPoint(t, float(v))
+                  for t, v in enumerate(gaussian_stream(200, seed=12), start=1) if t != 50]
+        records = []
+        for p in points:
+            record = det.process(p)
+            if record is not None:
+                records.append(record)
+            assert len(det.strategy) == len(det.measure)
+            if det.config.strategy in ("sw", "ures", "ares"):
+                if isinstance(det.strategy, AnomalyAwareReservoir):
+                    arrivals = det.strategy._arrivals[: len(det.strategy)].tolist()
+                else:
+                    arrivals = det.strategy.arrivals
+                members = (det.measure._words if isinstance(det.measure, FrequencyMeasure)
+                           else det.measure._slot_of)
+                assert set(arrivals) == set(members)
+        assert records[0].timestamp == 51
+        assert [r.timestamp for r in records] == list(range(51, 201))
 
 
 class TestStreamContracts:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,27 @@ class StubRng:
 
     def integers(self, *a, **kw):
         return self._integers.pop(0)
+
+
+class TestNoFeatureKept:
+    """Strategies report arrivals; the measure is the only feature store."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: FixedReference(30),
+        lambda: LandmarkWindow(0),
+        lambda: SlidingWindow(3),
+        lambda: UniformReservoir(3, np.random.default_rng(0)),
+        lambda: AnomalyAwareReservoir(3, 0.96, np.random.default_rng(0)),
+    ], ids=["fr", "lw", "sw", "ures", "ares"])
+    def test_update_drops_the_feature(self, make):
+        strategy = make()
+        feature = np.array([1.0, 2.0])
+        ref = weakref.ref(feature)
+        added, removed = strategy.update(feature, 1)
+        assert (added, removed) == (1, None)
+        del feature
+        gc.collect()
+        assert ref() is None
 
 
 class TestFixedReference:
@@ -67,14 +90,14 @@ class TestSlidingWindow:
         sw = SlidingWindow(3)
         for t in range(1, 6):
             sw.update(float(t), t)
-        assert [e.arrival for e in sw.entries] == [3, 4, 5]
+        assert list(sw.arrivals) == [3, 4, 5]
 
     def test_evicts_oldest(self):
         sw = SlidingWindow(2)
         sw.update(1.0, 1)
         sw.update(2.0, 2)
         added, removed = sw.update(3.0, 3)
-        assert removed.arrival == 1 and added.arrival == 3
+        assert removed == 1 and added == 3
 
     def test_never_exceeds_capacity(self):
         sw = SlidingWindow(4)
@@ -94,14 +117,13 @@ class TestUniformReservoir:
     def test_replacement_probability_is_w_over_t(self):
         # at t = 2w the acceptance draw is compared against exactly 1/2
         ures = UniformReservoir(5, StubRng(randoms=[0.499], integers=[2]))
-        ures.entries = [None] * 5
         ures.seen = 9
-        ures.entries = [type("E", (), {"arrival": i})() for i in range(5)]
+        ures.arrivals = list(range(5))
         added, removed = ures.update("x", 10)
         assert added is not None and removed is not None
 
         ures2 = UniformReservoir(5, StubRng(randoms=[0.501]))
-        ures2.entries = [type("E", (), {"arrival": i})() for i in range(5)]
+        ures2.arrivals = list(range(5))
         ures2.seen = 9
         assert ures2.update("x", 10) == (None, None)
 
@@ -113,8 +135,8 @@ class TestUniformReservoir:
             ures = UniformReservoir(w, np.random.default_rng(seed))
             for t in range(1, length + 1):
                 ures.update(t, t)
-            for e in ures.entries:
-                counts[e.arrival - 1] += 1
+            for arrival in ures.arrivals:
+                counts[arrival - 1] += 1
         rates = counts / trials
         expect = w / length
         assert rates.mean() == pytest.approx(expect, abs=1e-12)
@@ -129,8 +151,8 @@ class TestUniformReservoir:
             ures = UniformReservoir(w, np.random.default_rng(1000 + seed))
             for t in range(1, length + 1):
                 ures.update(t, t)
-            for e in ures.entries:
-                counts[e.arrival - 1] += 1
+            for arrival in ures.arrivals:
+                counts[arrival - 1] += 1
         _, p = stats.chisquare(counts)
         assert p > 0.01
 
@@ -156,7 +178,8 @@ class TestAnomalyAwareReservoir:
     def test_zero_score_priority_is_uniform_draw(self):
         ares = AnomalyAwareReservoir(3, 0.96, StubRng(randoms=[0.42]))
         added, _ = ares.update("x", 1, score=0.0)
-        assert added.priority == pytest.approx(0.42)
+        assert added == 1
+        assert ares._priorities[0] == pytest.approx(0.42)
 
     def test_eviction_picks_oldest_candidate(self):
         rng = StubRng(randoms=[0.2, 0.5, 0.9, 0.6])
@@ -165,8 +188,8 @@ class TestAnomalyAwareReservoir:
         ares.update("b", 7, 0.0)  # priority 0.5
         ares.update("c", 9, 0.0)  # priority 0.9
         added, removed = ares.update("d", 12, 0.0)  # priority 0.6 beats 0.2 and 0.5
-        assert removed.arrival == 3
-        assert added.arrival == 12
+        assert removed == 3
+        assert added == 12
 
     def test_no_candidates_keeps_group(self):
         rng = StubRng(randoms=[0.8, 0.9, 0.1])
@@ -174,7 +197,7 @@ class TestAnomalyAwareReservoir:
         ares.update("a", 1, 0.0)
         ares.update("b", 2, 0.0)
         assert ares.update("c", 3, 0.0) == (None, None)
-        assert [e.arrival for e in ares.entries] == [1, 2]
+        assert list(ares._arrivals[: len(ares)]) == [1, 2]
 
     def test_tie_keeps_incumbent(self):
         rng = StubRng(randoms=[0.5, 0.5])
@@ -199,7 +222,7 @@ class TestAnomalyAwareReservoir:
             for t in range(1, length + 1):
                 ares.update(t, t, score=5.0 if t in marked else 0.0)
             marked_fraction.append(
-                sum(e.arrival in marked for e in ares.entries) / w
+                sum(int(a) in marked for a in ares._arrivals[: len(ares)]) / w
             )
         assert np.mean(marked_fraction) < 0.02
 
@@ -214,5 +237,5 @@ class TestAnomalyAwareReservoir:
                 ares = AnomalyAwareReservoir(w, 0.96, np.random.default_rng(777 + seed))
                 for t in range(1, length + 1):
                     ares.update(t, t, score=scores if t in marked else 0.0)
-                out.append(sum(e.arrival in marked for e in ares.entries))
+                out.append(sum(int(a) in marked for a in ares._arrivals[: len(ares)]))
         assert np.mean(high_counts) <= np.mean(low_counts) + 1e-9
