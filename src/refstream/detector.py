@@ -134,6 +134,13 @@ class DetectorConfig:
             )
         if self.probation_len is not None and self.probation_len < 1:
             raise ConfigError(f"probation_len must be >= 1, got {self.probation_len}")
+        # lw admits only points after the landmark, so a landmark at or past
+        # the probation boundary leaves no group to seed the scorer with
+        p = self.probation_len
+        if self.strategy == "lw" and p is not None and self.landmark >= p:
+            raise ConfigError(
+                f"landmark {self.landmark} must be below probation_len {p}"
+            )
         if self.refresh not in ("incremental", "exact"):
             raise ConfigError(f"refresh must be 'incremental' or 'exact', got {self.refresh!r}")
 

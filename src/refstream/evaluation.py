@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -32,6 +31,24 @@ NAB_PROFILES = {
 }
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of x, tied values sharing the mean of their ranks.
+
+    The ``average`` method of ``scipy.stats.rankdata``: a tie group whose
+    ordinal ranks start at r and has c members ranks r + (c - 1) / 2, which
+    is exact in floating point. Any NaN makes every rank NaN.
+    """
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x)
+    y = x[order]
+    first = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])  # start of each tie group
+    counts = np.diff(np.append(first, y.size))
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
 def roc_auc(anomaly_scores, nominal_scores) -> float | None:
     """Probability that a random (anomaly, nominal) pair is ordered correctly.
 
@@ -41,7 +58,7 @@ def roc_auc(anomaly_scores, nominal_scores) -> float | None:
     n = np.asarray(nominal_scores, dtype=float)
     if a.size == 0 or n.size == 0:
         return None
-    ranks = rankdata(np.concatenate([a, n]))
+    ranks = _average_ranks(np.concatenate([a, n]))
     rank_sum = ranks[: a.size].sum()
     return float((rank_sum - a.size * (a.size + 1) / 2.0) / (a.size * n.size))
 

@@ -6,13 +6,16 @@ incrementally maintained k-means model, and SAX-word frequency. Each
 streaming structure is the reference group's only feature store: members
 are inserted with their feature and removed by id alone. Each keeps
 cached per-member leave-one-out scores that must match a from-scratch
-recomputation.
+recomputation. The k-NN index builds its neighbour rows in one batch at
+the first read, so filling the group during probation costs no
+per-insert repair; after that every change is repaired incrementally.
 
 Every Euclidean distance in this module, batch or incremental, comes from
-one kernel, ``_distances``. It rejects a query whose width differs from
-the features', then subtracts, squares and adds column by column. For the
-two-column (mean, std) features the pipeline makes this is the same sum
-numpy's reduction over that axis computes, without the cost of
+one kernel, ``_squared_distances`` (``_distances`` takes its square root;
+k-means assigns by the squares). It rejects a query whose width differs
+from the features', then subtracts, squares and adds column by column.
+For the two-column (mean, std) features the pipeline makes this is the
+same sum numpy's reduction over that axis computes, without the cost of
 broadcasting over a length-2 inner axis or of the reduction itself.
 
 Neighbour ordering is deterministic everywhere: ties in distance are
@@ -37,8 +40,8 @@ REACH_FLOOR = 1e-12
 # batch / pure evaluations (also the reference semantics for exact refresh)
 
 
-def _distances(features: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Euclidean distances between features and x over the last axis (broadcasting).
+def _squared_distances(features: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between features and x over the last axis.
 
     Both must have the same number of columns; the other axes broadcast.
     """
@@ -50,7 +53,12 @@ def _distances(features: np.ndarray, x: np.ndarray) -> np.ndarray:
     for j in range(1, width):
         d = features[..., j] - x[..., j]
         sq = sq + d * d
-    return np.sqrt(sq)
+    return sq
+
+
+def _distances(features: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Euclidean distances between features and x over the last axis (broadcasting)."""
+    return np.sqrt(_squared_distances(features, x))
 
 
 def _pairwise(features: np.ndarray) -> np.ndarray:
@@ -125,7 +133,10 @@ def lloyd_kmeans(features, n_clusters: int, rng: np.random.Generator, max_iter: 
     """Full k-means, seeded with distinct members drawn via the given RNG.
 
     Returns (centroids, assignment). Runs to convergence or ``max_iter``
-    sweeps; an emptied cluster keeps its previous centroid.
+    sweeps; an emptied cluster keeps its previous centroid. A centroid is
+    its members' sum, taken in arrival order, over their count: for
+    features of two or more columns, the arithmetic of
+    ``members.mean(axis=0)`` (numpy sums a single column pairwise).
     """
     feats = np.asarray(features, dtype=float)
     if len(feats) == 0:
@@ -135,15 +146,16 @@ def lloyd_kmeans(features, n_clusters: int, rng: np.random.Generator, max_iter: 
     centroids = uniq[rng.choice(len(uniq), size=kk, replace=False)].copy()
     assign = None
     for _ in range(max_iter):
-        d2 = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-        new_assign = d2.argmin(axis=1)
-        if assign is not None and np.array_equal(new_assign, assign):
+        new_assign = _squared_distances(feats[:, None, :], centroids[None, :, :]).argmin(axis=1)
+        if assign is not None and (new_assign == assign).all():
             break
         assign = new_assign
-        for c in range(kk):
-            members = feats[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+        # unbuffered, so each cluster sums its members in arrival order
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, feats)
+        counts = np.bincount(assign, minlength=kk)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
     return centroids, assign
 
 
@@ -230,11 +242,19 @@ class NeighborIndex(_SlotStore):
     which stays inf until the row has k neighbours. The occupied slots
     and their features are gathered once per change of the group, so a
     group that stops changing scores queries without gathering.
+
+    Until the first read (``score``, ``member_scores``,
+    ``cached_kdistances`` or ``cached_lrds``) ``insert`` and ``remove``
+    only claim or release a slot. That read builds every row in blocks of
+    ``_BUILD_ROWS`` (bounding the temporary distance block) and derives
+    the cached scores once; rows are ordered by (distance, arrival) either
+    way, so the result is bitwise what incremental repair would have left.
     """
 
     _WHAT = "index"
     _SLOT_FILLS = {"_alive": False, "_nbr": -1, "_nbrd": np.inf,
                    "_nvalid": 0, "_lrd": np.nan, "_score": np.nan}
+    _BUILD_ROWS = 64
 
     def __init__(self, k: int, mode: str = "distance"):
         if k < 1:
@@ -254,6 +274,7 @@ class NeighborIndex(_SlotStore):
         self._xact_cache: np.ndarray | None = None
         self._col = np.arange(k)
         self._prev = np.maximum(self._col - 1, 0)  # source column of a shift right
+        self._built = False
 
     def _active(self) -> np.ndarray:
         """Occupied slots, ascending."""
@@ -269,6 +290,17 @@ class NeighborIndex(_SlotStore):
 
     def _group_changed(self):
         self._act_cache = self._xact_cache = None
+
+    def _ensure_built(self):
+        """Build every row and cached score, once, before the first read."""
+        if self._built:
+            return
+        self._built = True
+        act = self._active()
+        if act.size:
+            for i in range(0, act.size, self._BUILD_ROWS):
+                self._rebuild_rows(act[i : i + self._BUILD_ROWS])
+            self._refresh(act)
 
     def _rebuild_rows(self, slots: np.ndarray):
         act = self._active()
@@ -315,10 +347,12 @@ class NeighborIndex(_SlotStore):
     def insert(self, ident: int, feature):
         x = np.asarray(feature, dtype=float)
         act = self._active()
-        d = _distances(self._active_features(), x) if act.size else np.empty(0)
+        d = _distances(self._active_features(), x) if self._built and act.size else np.empty(0)
         slot = self._claim(ident, x)
         self._alive[slot] = True
         self._group_changed()
+        if not self._built:
+            return
 
         order = np.lexsort((self._seq[act], d))[: self.k]
         self._nbr[slot] = -1
@@ -346,6 +380,8 @@ class NeighborIndex(_SlotStore):
         self._group_changed()
         self._score[slot] = np.nan
         self._lrd[slot] = np.nan
+        if not self._built:
+            return
         act = self._active()
         hit = act[(self._nbr[act] == slot).any(axis=1)]
         if hit.size:
@@ -355,6 +391,7 @@ class NeighborIndex(_SlotStore):
     def score(self, feature) -> float:
         """Nonconformity of a query point against the current group."""
         x = np.asarray(feature, dtype=float)
+        self._ensure_built()
         act, k = self._active(), self.k
         if self.mode == "distance":
             if act.size < k:
@@ -375,6 +412,7 @@ class NeighborIndex(_SlotStore):
 
     def member_scores(self) -> np.ndarray:
         """Cached leave-one-out scores in arrival order."""
+        self._ensure_built()
         return self._score[self._rows()]
 
     def recompute_member_scores(self) -> np.ndarray:
@@ -385,9 +423,11 @@ class NeighborIndex(_SlotStore):
 
     # cache views used by the equivalence tests
     def cached_kdistances(self) -> np.ndarray:
+        self._ensure_built()
         return self._nbrd[self._rows(), -1]
 
     def cached_lrds(self) -> np.ndarray:
+        self._ensure_built()
         return self._lrd[self._rows()]
 
 

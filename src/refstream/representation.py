@@ -13,18 +13,85 @@ transforms compute means and standard deviations with the arithmetic of
 numpy's ``mean``/``std`` (one pairwise sum, a division, then the squared
 deviations summed the same way) without the per-call cost of their Python
 wrappers, so every feature is bitwise numpy's.
+
+The SAX breakpoints are standard-normal quantiles from ``_ndtri``, a
+pure-Python port of the Cephes ``ndtri`` that ``scipy.special.ndtri`` wraps.
+It keeps Cephes' coefficient tables, its Horner order and its branch
+points, and Python evaluates float arithmetic one IEEE operation at a time
+(never contracted into fused multiply-adds), so every breakpoint is bitwise
+scipy's without importing scipy, which would cost most of the package's
+import time and memory.
 """
 
 from __future__ import annotations
 
+import math
 import string
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError
 
 SAX_ALPHABET = string.ascii_lowercase
+
+# Cephes ndtri: rational approximations in y - 1/2 for the central region
+# and in 1 / sqrt(-2 log y) for the two tails. The denominators are monic;
+# their leading 1.0 is written out here, where Cephes leaves it implicit
+# (its p1evl starts from x + q[0], which equals 1.0 * x + q[0] exactly)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coefs) -> float:
+    """Polynomial in x, highest power first, by Horner's rule."""
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Inverse of the standard normal CDF (Cephes ``ndtri``)."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if not 0.0 < y0 < 1.0:
+        return math.nan
+    y, upper = y0, y0 > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return x if upper else -x
 
 
 def breakpoints(alphabet_size: int) -> np.ndarray:
@@ -35,7 +102,8 @@ def breakpoints(alphabet_size: int) -> np.ndarray:
     """
     if alphabet_size < 2:
         raise ConfigError(f"alphabet_size must be >= 2, got {alphabet_size}")
-    return ndtri(np.arange(1, alphabet_size) / alphabet_size)
+    probs = np.arange(1, alphabet_size) / alphabet_size
+    return np.array([_ndtri(p) for p in probs.tolist()])
 
 
 def _mean_and_deviations(x: np.ndarray) -> tuple[float, np.ndarray, float]:

@@ -258,24 +258,32 @@ def test_criterion_10_drift_detection():
 
 
 def test_criterion_11_scalability():
-    # Each repeat runs every length, in a rotated order, so a slow spell of
-    # the machine falls on all lengths alike rather than on one of them.
-    # Only the points after the bootstrap are timed: the probationary
-    # prefix costs the same at every length and would weigh most on 4k.
+    # Each stream runs untimed up to its last BLOCKS blocks of BLOCK points.
+    # Those are timed round-robin across the lengths, a SLICE of points at
+    # a time, so each length's b-th block spans the same stretch of wall
+    # time as the others' and a slow or fast spell of the machine falls on
+    # all lengths alike; each length keeps its fastest block.
     config = named_config("sw-freq", window=150, ks_window=150,
                           probation_len=300, seed=1)
-    p = config.probation_len
     lengths = (4_000, 12_000, 20_000)
-    streams = {n: stream(gaussian_stream(n, seed=2)) for n in lengths}
+    BLOCK, BLOCKS, SLICE = 500, 6, 50
+    detectors, tails = {}, {}
+    for n in lengths:
+        points = stream(gaussian_stream(n, seed=2))
+        tails[n] = points[n - BLOCK * BLOCKS:]
+        detectors[n] = build_detector(config)
+        detectors[n].run(points[: n - BLOCK * BLOCKS])
+        assert detectors[n].scorer.bootstrapped
     lat = dict.fromkeys(lengths, math.inf)
-    for repeat in range(5):
-        for n in lengths[repeat % 3:] + lengths[:repeat % 3]:
-            det = build_detector(config)
-            det.run(streams[n][:p])
-            assert det.scorer.bootstrapped
-            t0 = time.perf_counter()
-            det.run(streams[n][p:])
-            lat[n] = min(lat[n], (time.perf_counter() - t0) / (n - p))
+    for b in range(BLOCKS):
+        spent = dict.fromkeys(lengths, 0.0)
+        for i, start in enumerate(range(b * BLOCK, (b + 1) * BLOCK, SLICE)):
+            for n in lengths[i % 3:] + lengths[:i % 3]:
+                t0 = time.perf_counter()
+                detectors[n].run(tails[n][start:start + SLICE])
+                spent[n] += time.perf_counter() - t0
+        for n in lengths:
+            lat[n] = min(lat[n], spent[n] / BLOCK)
 
     ratio = max(lat.values()) / min(lat.values())
     assert ratio <= 1.3, lat

@@ -50,6 +50,11 @@ class TestConfig:
             build_detector(DetectorConfig(probationary_fraction=1.0), n_points=100)
         with pytest.raises(ConfigError, match="landmark"):
             build_detector(named_config("lw-nn", landmark=-5), n_points=100)
+        # resolved p = 60: the lw group would be empty at the boundary
+        for landmark in (60, 100):
+            with pytest.raises(ConfigError, match=f"landmark {landmark} .*probation_len 60"):
+                build_detector(named_config("lw-nn", k=3, landmark=landmark), n_points=400)
+        assert build_detector(named_config("lw-nn", k=3, landmark=59), n_points=400).probation_len == 60
 
     def test_unresolved_length_rejected(self):
         with pytest.raises(ConfigError, match="probation"):

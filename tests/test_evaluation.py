@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from refstream.evaluation import (
     NAB_PROFILES,
     NabProfile,
+    _average_ranks,
     clusteredness,
     delta_performance,
     difficulty_diversity,
@@ -64,6 +66,21 @@ class TestRocAuc:
             if labels.any() and not labels.all():
                 aucs.append(roc_auc(scores[labels], scores[~labels]))
         assert abs(np.mean(aucs) - 0.5) < 0.05
+
+
+class TestAverageRanks:
+    @given(st.lists(st.sampled_from([-np.inf, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.inf]),
+                    max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scipy_rankdata_on_ties(self, values):
+        x = np.array(values, dtype=float)
+        assert np.array_equal(_average_ranks(x), stats.rankdata(x))
+
+    def test_nan_input_gives_all_nan(self):
+        x = np.array([0.5, np.nan, 0.5, 1.0])
+        assert np.isnan(_average_ranks(x)).all()
+        assert np.isnan(stats.rankdata(x)).all()
+        assert math.isnan(roc_auc([0.5, np.nan], [0.1]))
 
 
 class TestMakeWindows:

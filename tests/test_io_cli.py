@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import refstream
 from refstream.cli import main
 from refstream.datasets import load_csv, load_label_file, write_csv
 from refstream.detector import DETECTOR_GRID, ScoreRecord
@@ -33,6 +37,18 @@ def make_dataset(path, n=120, seed=0, anomalies=(70, 95), iso=False, label_col=T
     if iso:
         ts = [f"2015-01-01 {8 + i // 60:02d}:{i % 60:02d}:00" for i in range(n)]
     return write_csv(path, values, anomalies=anomalies if label_col else None, timestamps=ts)
+
+
+class TestImportPath:
+    def test_package_imports_no_scipy(self):
+        # scipy is only the tests' oracle; a fresh interpreter that loads the
+        # package, the grid runner and the CLI must not load any of it
+        code = ("import sys, refstream, refstream.grid, refstream.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        src = Path(refstream.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.stdout.strip() == "[]"
 
 
 class TestLoadCsv:

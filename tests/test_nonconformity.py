@@ -310,7 +310,9 @@ class TestNeighborIndexChurn:
                     assert idx.score(query) == lof_score(query, feats, k)
                 else:
                     assert idx.score(query) == knn_score(query, feats, k)
-            # each row lists the nearest members by (distance, arrival)
+            # each row lists the nearest members by (distance, arrival);
+            # rows are built at the first read, so read before looking
+            idx.cached_kdistances()
             ident_of = {slot: ident for ident, slot in idx._slot_of.items()}
             for i, ident in enumerate(alive):
                 d = np.sqrt(((feats - feats[i]) ** 2).sum(axis=1))
@@ -323,7 +325,133 @@ class TestNeighborIndexChurn:
                 assert (idx._nbr[slot, n:] == -1).all()
 
 
+GRID_OPS = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 99)),
+    max_size=60,
+)
+READS = ("score", "member_scores", "cached_kdistances", "cached_lrds")
+
+
+def index_state(idx, query):
+    """Everything a read exposes, plus the member rows; the first read builds them."""
+    try:
+        score = idx.score(query)
+    except DegenerateGroupError as exc:
+        score = str(exc)
+    rows = idx._rows()
+    return {
+        "score": score,
+        "member_scores": idx.member_scores(),
+        "cached_kdistances": idx.cached_kdistances(),
+        "cached_lrds": idx.cached_lrds(),
+        "nbr": idx._nbr[rows],
+        "nbrd": idx._nbrd[rows],
+        "nvalid": idx._nvalid[rows],
+    }
+
+
+def assert_same_state(lazy, eager, query):
+    got, want = index_state(lazy, query), index_state(eager, query)
+    for name in ("member_scores", "cached_kdistances", "cached_lrds", "nbrd"):
+        assert np.array_equal(got[name], want[name], equal_nan=True), name
+    for name in ("nbr", "nvalid"):
+        assert np.array_equal(got[name], want[name]), name
+    assert got["score"] == want["score"]
+
+
+class TestNeighborIndexFirstReadBuild:
+    @given(k=st.integers(1, 6), mode=st.sampled_from(["distance", "density"]),
+           first_read=st.sampled_from(READS), ops=GRID_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_batch_build_equals_incremental_repair(self, k, mode, first_read, ops):
+        # lazy takes every operation, removes included, before its first
+        # read builds it in one batch; eager is read after every operation,
+        # so it repairs incrementally from the first insert on
+        lazy, eager = NeighborIndex(k, mode=mode), NeighborIndex(k, mode=mode)
+        alive, next_id = [], 1000
+        for is_insert, a, b, pick in ops:
+            if is_insert or not alive:
+                lazy.insert(next_id, (a / 2, b / 2))
+                eager.insert(next_id, (a / 2, b / 2))
+                alive.append(next_id)
+                next_id -= 1
+            else:
+                victim = alive.pop(pick % len(alive))
+                lazy.remove(victim)
+                eager.remove(victim)
+            eager.cached_kdistances()
+        assert not lazy._built
+        if first_read == "score":
+            try:
+                lazy.score((0.5, 1.0))
+            except DegenerateGroupError:
+                pass
+        else:
+            getattr(lazy, first_read)()
+        assert lazy._built
+        assert_same_state(lazy, eager, (0.5, 1.0))
+        # after the build every change is repaired incrementally
+        for idx in (lazy, eager):
+            idx.insert(next_id, (0.5, 0.5))
+            if alive:
+                idx.remove(alive[0])
+        assert_same_state(lazy, eager, (1.0, 0.5))
+
+    @pytest.mark.parametrize("mode", ["distance", "density"])
+    def test_build_spanning_several_blocks(self, mode):
+        # the group outgrows two blocks of rows
+        lazy, eager = NeighborIndex(5, mode=mode), NeighborIndex(5, mode=mode)
+        for kind, ident, feature in random_ops(11, 600, 200):
+            for idx in (lazy, eager):
+                if kind == "insert":
+                    idx.insert(ident, feature)
+                else:
+                    idx.remove(ident)
+            eager.member_scores()
+        assert len(lazy) > 2 * NeighborIndex._BUILD_ROWS
+        assert_same_state(lazy, eager, (0.1, -0.2))
+        assert np.array_equal(lazy.member_scores(), lazy.recompute_member_scores())
+
+
 # --- clustering ----------------------------------------------------------------
+
+
+def loop_lloyd_kmeans(features, n_clusters, rng, max_iter=100):
+    """The per-cluster update loop that ``lloyd_kmeans`` replaced, as its oracle."""
+    feats = np.asarray(features, dtype=float)
+    uniq = np.unique(feats, axis=0)
+    kk = min(n_clusters, len(uniq))
+    centroids = uniq[rng.choice(len(uniq), size=kk, replace=False)].copy()
+    assign = None
+    for _ in range(max_iter):
+        d2 = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+        new_assign = d2.argmin(axis=1)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(kk):
+            members = feats[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+    return centroids, assign
+
+
+class TestLloydKmeans:
+    @given(
+        base=st.lists(st.tuples(*[st.floats(-1e3, 1e3, allow_subnormal=False)] * 2),
+                      min_size=1, max_size=12),
+        picks=st.lists(st.integers(0, 11), min_size=1, max_size=80),
+        n_clusters=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_cluster_loop(self, base, picks, n_clusters, seed):
+        # repeated picks of a few points make duplicates and tied distances
+        feats = np.array([base[i % len(base)] for i in picks])
+        got = lloyd_kmeans(feats, n_clusters, np.random.default_rng(seed))
+        want = loop_lloyd_kmeans(feats, n_clusters, np.random.default_rng(seed))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 class TestClusterScore:

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from refstream.errors import ConfigError
 from refstream.representation import (
     SAX_ALPHABET,
     MeanStdFeatures,
     SaxFeatures,
+    _ndtri,
     breakpoints,
     meanstd_transform,
     paa,
@@ -38,6 +40,33 @@ class TestBreakpoints:
         assert len(cuts) == alpha - 1
         assert (np.diff(cuts) > 0).all()
         np.testing.assert_allclose(cuts, -cuts[::-1], atol=1e-9)
+
+    def test_bitwise_equal_to_scipy_for_every_alphabet(self):
+        for alpha in range(2, 501):
+            want = special.ndtri(np.arange(1, alpha) / alpha)
+            assert np.array_equal(breakpoints(alpha), want), alpha
+
+
+class TestNdtri:
+    def test_bitwise_equal_to_scipy_on_random_probabilities(self):
+        # each branch: the central region, the tails above and below
+        # exp(-32), far tails down to 1e-300 and p within 1e-16 of 1
+        rng = np.random.default_rng(0)
+        p = np.concatenate([
+            rng.random(20_000),
+            10.0 ** -rng.uniform(0, 300, 20_000),
+            1.0 - rng.uniform(0, 1e-16, 2_000),
+            [5e-324, 1e-300, 0.5, 1.0 - 2.0**-53,
+             0.13533528323661269189, 1.0 - 0.13533528323661269189],
+        ])
+        got = np.array([_ndtri(v) for v in p.tolist()])
+        assert np.array_equal(got, special.ndtri(p))
+
+    def test_edges_match_scipy(self):
+        for p in (0.0, 1.0):
+            assert _ndtri(p) == special.ndtri(p)
+        for p in (-0.5, 1.5, float("nan")):
+            assert np.isnan(_ndtri(p)) and np.isnan(special.ndtri(p))
 
 
 class TestMeanStd:
