@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Print the record count and one SHA-256 over a fixed matrix of detector runs.
 
-The matrix is 3 streams (drift, regime and noisy; 400 points; stream seeds
-100, 101 and 102) x the 20 grid detectors x both ``refresh`` modes x
-``test_period`` 1 and 3. Each record is packed as its timestamp (int64),
-the four floats of the scoring chain (float64, bit for bit) and the flag,
-little-endian, in run order. Two checkouts whose records are bit-identical
-print the same line.
+The matrix is 4 streams x the 20 grid detectors x both ``refresh`` modes x
+``test_period`` 1 and 3. Three streams (drift, regime and noisy; stream
+seeds 100, 101 and 102) have 400 points, so reference groups hold 60
+members; the fourth (periodic, seed 103) has 200, so they hold 30. The two
+sizes sit on either side of ``NeighborIndex._REBUILD_MAX``: a removal from
+the larger groups repairs the neighbour rows, one from the smaller groups
+leaves them to be rebuilt at the next read. Each record is packed as its
+timestamp (int64), the four floats of the scoring chain (float64, bit for
+bit) and the flag, little-endian, in run order. Two checkouts whose
+records are bit-identical print the same line.
 
 Usage:
     PYTHONPATH=src python scripts/record_digest.py
@@ -20,8 +24,8 @@ import struct
 from refstream.detector import DETECTOR_GRID, StreamPoint, build_detector, named_config
 from refstream.synthetic import benchmark_stream
 
-STREAMS = (("drift", 100), ("regime", 101), ("noisy", 102))
-POINTS = 400
+STREAMS = (("drift", 100, 400), ("regime", 101, 400), ("noisy", 102, 400),
+           ("periodic", 103, 200))  # (kind, seed, points)
 REFRESH_MODES = ("incremental", "exact")
 TEST_PERIODS = (1, 3)
 RECORD = struct.Struct("<qddddB")
@@ -30,14 +34,14 @@ RECORD = struct.Struct("<qddddB")
 def main() -> int:
     digest = hashlib.sha256()
     count = 0
-    for kind, seed in STREAMS:
-        values, _ = benchmark_stream(POINTS, seed=seed, kind=kind)
+    for kind, seed, n_points in STREAMS:
+        values, _ = benchmark_stream(n_points, seed=seed, kind=kind)
         points = [StreamPoint(i + 1, float(v)) for i, v in enumerate(values)]
         for name in DETECTOR_GRID:
             for refresh in REFRESH_MODES:
                 for test_period in TEST_PERIODS:
                     config = named_config(name, refresh=refresh, test_period=test_period)
-                    for r in build_detector(config, n_points=POINTS).run(points):
+                    for r in build_detector(config, n_points=n_points).run(points):
                         digest.update(RECORD.pack(r.timestamp, r.nonconformity, r.p_value,
                                                   r.ks_significance, r.final_score, r.flagged))
                         count += 1

@@ -8,7 +8,10 @@ are inserted with their feature and removed by id alone. Each keeps
 cached per-member leave-one-out scores that must match a from-scratch
 recomputation. The k-NN index builds its neighbour rows in one batch at
 the first read, so filling the group during probation costs no
-per-insert repair; after that every change is repaired incrementally.
+per-insert repair. After that it repairs every insert incrementally, and
+every removal from a group of more than ``NeighborIndex._REBUILD_MAX``
+members; a removal from a smaller group drops the rows, and the next read
+rebuilds them in one batch, which costs less than a repair at that size.
 
 Every Euclidean distance in this module, batch or incremental, comes from
 one kernel, ``_squared_distances`` (``_distances`` takes its square root;
@@ -201,6 +204,9 @@ class _SlotStore:
     def _claim(self, ident: int, x: np.ndarray) -> int:
         if ident in self._slot_of:
             raise DegenerateGroupError(f"entry {ident} already in {self._WHAT}")
+        width = self._X.shape[1]
+        if self._cap and x.size != width:
+            raise ValueError(f"feature has {x.size} columns, the {self._WHAT} holds {width}")
         if not self._cap:
             self._X = np.empty((0, x.size))
         if not self._free:
@@ -249,12 +255,21 @@ class NeighborIndex(_SlotStore):
     ``_BUILD_ROWS`` (bounding the temporary distance block) and derives
     the cached scores once; rows are ordered by (distance, arrival) either
     way, so the result is bitwise what incremental repair would have left.
+    After the build, inserts are repaired in place. A removal that leaves
+    at most ``_REBUILD_MAX`` members unbuilds the index instead, so the
+    next read rebuilds it: in a small group most rows list the leaving
+    member, and one batch build costs less than repairing them. Timing a
+    sliding-window step (remove, insert, ``member_scores``) both ways, the
+    two break even near 50 members in distance mode and 60 in density
+    mode; an insert-only step repaired cheaper than a build at every size
+    tried (10 to 200 members), so inserts never unbuild.
     """
 
     _WHAT = "index"
     _SLOT_FILLS = {"_alive": False, "_nbr": -1, "_nbrd": np.inf,
                    "_nvalid": 0, "_lrd": np.nan, "_score": np.nan}
     _BUILD_ROWS = 64
+    _REBUILD_MAX = 48
 
     def __init__(self, k: int, mode: str = "distance"):
         if k < 1:
@@ -303,13 +318,13 @@ class NeighborIndex(_SlotStore):
             self._refresh(act)
 
     def _rebuild_rows(self, slots: np.ndarray):
-        act = self._active()
-        dist = _distances(self._X[slots][:, None, :], self._active_features()[None, :, :])
-        dist[np.arange(len(slots)), np.searchsorted(act, slots)] = np.inf
-        take = min(self.k, act.size - 1)
-        order = np.lexsort((np.broadcast_to(self._seq[act], dist.shape), dist), axis=-1)
-        order = order[:, :take]
-        self._nbr[slots, :take] = act[order]
+        # columns in arrival order, so a stable sort breaks ties by arrival
+        cols = self._rows()
+        dist = _distances(self._X[slots][:, None, :], self._X[cols][None, :, :])
+        dist[slots[:, None] == cols] = np.inf
+        take = min(self.k, cols.size - 1)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :take]
+        self._nbr[slots, :take] = cols[order]
         self._nbrd[slots, :take] = np.take_along_axis(dist, order, axis=1)
         self._nbr[slots, take:] = -1
         self._nbrd[slots, take:] = np.inf
@@ -380,7 +395,8 @@ class NeighborIndex(_SlotStore):
         self._group_changed()
         self._score[slot] = np.nan
         self._lrd[slot] = np.nan
-        if not self._built:
+        if not self._built or len(self) <= self._REBUILD_MAX:
+            self._built = False
             return
         act = self._active()
         hit = act[(self._nbr[act] == slot).any(axis=1)]

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -277,59 +278,75 @@ class TestNeighborIndexDensity:
         np.testing.assert_allclose(idx.cached_kdistances(), want, atol=1e-12)
 
 
-class TestNeighborIndexChurn:
-    @given(
-        k=st.integers(1, 6),
-        mode=st.sampled_from(["distance", "density"]),
-        ops=st.lists(
-            st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 99)),
-            max_size=60,
-        ),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_churn_keeps_caches_and_rows_exact(self, k, mode, ops):
-        # a 4x4 grid of features makes distance ties and coincident
-        # duplicates; ids fall as arrivals rise, so ordering ties by id fails
-        idx = NeighborIndex(k, mode=mode)
-        alive, next_id = [], 1000
-        for is_insert, a, b, pick in ops:
-            if is_insert or not alive:
-                idx.insert(next_id, (a / 2, b / 2))
-                alive.append(next_id)
-                next_id -= 1
-            else:
-                idx.remove(alive.pop(pick % len(alive)))
-            feats = idx.member_features()
-            query = (b / 2, pick % 4 / 2)  # on the grid, so ties reach the k-th place
-            if len(alive) >= k + 1:
-                assert np.array_equal(idx.member_scores(), idx.recompute_member_scores())
-                if mode == "density":
-                    _, _, kdist, lrd = _member_lrds(feats, k)
-                    assert np.array_equal(idx.cached_kdistances(), kdist)
-                    assert np.array_equal(idx.cached_lrds(), lrd)
-                    assert idx.score(query) == lof_score(query, feats, k)
-                else:
-                    assert idx.score(query) == knn_score(query, feats, k)
-            # each row lists the nearest members by (distance, arrival);
-            # rows are built at the first read, so read before looking
-            idx.cached_kdistances()
-            ident_of = {slot: ident for ident, slot in idx._slot_of.items()}
-            for i, ident in enumerate(alive):
-                d = np.sqrt(((feats - feats[i]) ** 2).sum(axis=1))
-                want = sorted((d[j], j) for j in range(len(alive)) if j != i)[:k]
-                slot = idx._slot_of[ident]
-                n = int(idx._nvalid[slot])
-                got = [ident_of[s] for s in idx._nbr[slot, :n].tolist()]
-                assert got == [alive[j] for _, j in want]
-                assert idx._nbrd[slot, :n].tolist() == [dist for dist, _ in want]
-                assert (idx._nbr[slot, n:] == -1).all()
-
-
 GRID_OPS = st.lists(
     st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 99)),
     max_size=60,
 )
+INDEX_ARGS = dict(k=st.integers(1, 6), mode=st.sampled_from(["distance", "density"]))
 READS = ("score", "member_scores", "cached_kdistances", "cached_lrds")
+
+
+@contextlib.contextmanager
+def repair_every_removal():
+    """Rebuild limit 0: every removal from a built index repairs its rows.
+
+    With the default limit most removals from the groups below (at most 60
+    members) unbuild the index instead, so the repair needs its own runs.
+    """
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(NeighborIndex, "_REBUILD_MAX", 0)
+        yield
+
+
+def check_churn(k, mode, ops):
+    # a 4x4 grid of features makes distance ties and coincident
+    # duplicates; ids fall as arrivals rise, so ordering ties by id fails
+    idx = NeighborIndex(k, mode=mode)
+    alive, next_id = [], 1000
+    for is_insert, a, b, pick in ops:
+        if is_insert or not alive:
+            idx.insert(next_id, (a / 2, b / 2))
+            alive.append(next_id)
+            next_id -= 1
+        else:
+            idx.remove(alive.pop(pick % len(alive)))
+        feats = idx.member_features()
+        query = (b / 2, pick % 4 / 2)  # on the grid, so ties reach the k-th place
+        if len(alive) >= k + 1:
+            assert np.array_equal(idx.member_scores(), idx.recompute_member_scores())
+            if mode == "density":
+                _, _, kdist, lrd = _member_lrds(feats, k)
+                assert np.array_equal(idx.cached_kdistances(), kdist)
+                assert np.array_equal(idx.cached_lrds(), lrd)
+                assert idx.score(query) == lof_score(query, feats, k)
+            else:
+                assert idx.score(query) == knn_score(query, feats, k)
+        # each row lists the nearest members by (distance, arrival);
+        # rows are built at the first read, so read before looking
+        idx.cached_kdistances()
+        ident_of = {slot: ident for ident, slot in idx._slot_of.items()}
+        for i, ident in enumerate(alive):
+            d = np.sqrt(((feats - feats[i]) ** 2).sum(axis=1))
+            want = sorted((d[j], j) for j in range(len(alive)) if j != i)[:k]
+            slot = idx._slot_of[ident]
+            n = int(idx._nvalid[slot])
+            got = [ident_of[s] for s in idx._nbr[slot, :n].tolist()]
+            assert got == [alive[j] for _, j in want]
+            assert idx._nbrd[slot, :n].tolist() == [dist for dist, _ in want]
+            assert (idx._nbr[slot, n:] == -1).all()
+
+
+class TestNeighborIndexChurn:
+    @given(**INDEX_ARGS, ops=GRID_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_churn_keeps_caches_and_rows_exact(self, k, mode, ops):
+        check_churn(k, mode, ops)
+
+    @given(**INDEX_ARGS, ops=GRID_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_churn_repairing_every_removal(self, k, mode, ops):
+        with repair_every_removal():
+            check_churn(k, mode, ops)
 
 
 def index_state(idx, query):
@@ -359,58 +376,99 @@ def assert_same_state(lazy, eager, query):
     assert got["score"] == want["score"]
 
 
+def check_first_read_build(k, mode, first_read, ops):
+    # lazy takes every operation, removes included, before its first
+    # read builds it in one batch; eager is read after every operation,
+    # so it is built from the first insert on
+    lazy, eager = NeighborIndex(k, mode=mode), NeighborIndex(k, mode=mode)
+    alive, next_id = [], 1000
+    for is_insert, a, b, pick in ops:
+        if is_insert or not alive:
+            lazy.insert(next_id, (a / 2, b / 2))
+            eager.insert(next_id, (a / 2, b / 2))
+            alive.append(next_id)
+            next_id -= 1
+        else:
+            victim = alive.pop(pick % len(alive))
+            lazy.remove(victim)
+            eager.remove(victim)
+        eager.cached_kdistances()
+    assert not lazy._built
+    if first_read == "score":
+        try:
+            lazy.score((0.5, 1.0))
+        except DegenerateGroupError:
+            pass
+    else:
+        getattr(lazy, first_read)()
+    assert lazy._built
+    assert_same_state(lazy, eager, (0.5, 1.0))
+    # after the build an insert is repaired, and so is a removal unless it
+    # leaves at most _REBUILD_MAX members, which unbuilds the index
+    for idx in (lazy, eager):
+        idx.insert(next_id, (0.5, 0.5))
+        if alive:
+            idx.remove(alive[0])
+    assert_same_state(lazy, eager, (1.0, 0.5))
+
+
+def check_build_spanning_several_blocks(mode):
+    # the group outgrows two blocks of rows
+    lazy, eager = NeighborIndex(5, mode=mode), NeighborIndex(5, mode=mode)
+    for kind, ident, feature in random_ops(11, 600, 200):
+        for idx in (lazy, eager):
+            if kind == "insert":
+                idx.insert(ident, feature)
+            else:
+                idx.remove(ident)
+        eager.member_scores()
+    assert len(lazy) > 2 * NeighborIndex._BUILD_ROWS
+    assert_same_state(lazy, eager, (0.1, -0.2))
+    assert np.array_equal(lazy.member_scores(), lazy.recompute_member_scores())
+
+
 class TestNeighborIndexFirstReadBuild:
-    @given(k=st.integers(1, 6), mode=st.sampled_from(["distance", "density"]),
-           first_read=st.sampled_from(READS), ops=GRID_OPS)
+    @given(**INDEX_ARGS, first_read=st.sampled_from(READS), ops=GRID_OPS)
     @settings(max_examples=150, deadline=None)
     def test_batch_build_equals_incremental_repair(self, k, mode, first_read, ops):
-        # lazy takes every operation, removes included, before its first
-        # read builds it in one batch; eager is read after every operation,
-        # so it repairs incrementally from the first insert on
-        lazy, eager = NeighborIndex(k, mode=mode), NeighborIndex(k, mode=mode)
-        alive, next_id = [], 1000
-        for is_insert, a, b, pick in ops:
-            if is_insert or not alive:
-                lazy.insert(next_id, (a / 2, b / 2))
-                eager.insert(next_id, (a / 2, b / 2))
-                alive.append(next_id)
-                next_id -= 1
-            else:
-                victim = alive.pop(pick % len(alive))
-                lazy.remove(victim)
-                eager.remove(victim)
-            eager.cached_kdistances()
-        assert not lazy._built
-        if first_read == "score":
-            try:
-                lazy.score((0.5, 1.0))
-            except DegenerateGroupError:
-                pass
-        else:
-            getattr(lazy, first_read)()
-        assert lazy._built
-        assert_same_state(lazy, eager, (0.5, 1.0))
-        # after the build every change is repaired incrementally
-        for idx in (lazy, eager):
-            idx.insert(next_id, (0.5, 0.5))
-            if alive:
-                idx.remove(alive[0])
-        assert_same_state(lazy, eager, (1.0, 0.5))
+        check_first_read_build(k, mode, first_read, ops)
+
+    @given(**INDEX_ARGS, first_read=st.sampled_from(READS), ops=GRID_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_batch_build_repairing_every_removal(self, k, mode, first_read, ops):
+        with repair_every_removal():
+            check_first_read_build(k, mode, first_read, ops)
 
     @pytest.mark.parametrize("mode", ["distance", "density"])
     def test_build_spanning_several_blocks(self, mode):
-        # the group outgrows two blocks of rows
-        lazy, eager = NeighborIndex(5, mode=mode), NeighborIndex(5, mode=mode)
-        for kind, ident, feature in random_ops(11, 600, 200):
-            for idx in (lazy, eager):
-                if kind == "insert":
-                    idx.insert(ident, feature)
-                else:
-                    idx.remove(ident)
-            eager.member_scores()
-        assert len(lazy) > 2 * NeighborIndex._BUILD_ROWS
-        assert_same_state(lazy, eager, (0.1, -0.2))
-        assert np.array_equal(lazy.member_scores(), lazy.recompute_member_scores())
+        check_build_spanning_several_blocks(mode)
+
+    @pytest.mark.parametrize("mode", ["distance", "density"])
+    def test_build_spanning_several_blocks_repairing_every_removal(self, mode):
+        with repair_every_removal():
+            check_build_spanning_several_blocks(mode)
+
+
+class TestNeighborIndexRemoval:
+    @pytest.mark.parametrize("mode", ["distance", "density"])
+    @pytest.mark.parametrize("left_over_limit", [0, 1])
+    def test_small_group_rebuilds_at_next_read(self, mode, left_over_limit):
+        # a removal that leaves at most _REBUILD_MAX members unbuilds the
+        # index, one that leaves more repairs it; either way the state is
+        # bitwise that of a twin run with the limit at 0. Rounded features
+        # make distance ties.
+        m = NeighborIndex._REBUILD_MAX + left_over_limit + 1
+        feats = np.random.default_rng(15).normal(size=(m, 2)).round(1)
+        idx, repaired = NeighborIndex(3, mode=mode), NeighborIndex(3, mode=mode)
+        repaired._REBUILD_MAX = 0
+        for group in (idx, repaired):
+            for ident, feature in enumerate(feats):
+                group.insert(ident, feature)
+            group.member_scores()
+            group.remove(m // 2)
+        assert idx._built == bool(left_over_limit)
+        assert repaired._built
+        assert_same_state(idx, repaired, (0.1, -0.2))
 
 
 # --- clustering ----------------------------------------------------------------
@@ -450,6 +508,16 @@ class TestLloydKmeans:
         feats = np.array([base[i % len(base)] for i in picks])
         got = lloyd_kmeans(feats, n_clusters, np.random.default_rng(seed))
         want = loop_lloyd_kmeans(feats, n_clusters, np.random.default_rng(seed))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_emptied_cluster_keeps_its_centroid(self):
+        # distinct seeds each hold a member after the first sweep, so only a
+        # constructed case reaches a later sweep that empties a cluster
+        feats = np.array([[3, 0], [4, 5], [5, 5], [0, 4], [3, 2]], dtype=float)
+        got = lloyd_kmeans(feats, 3, np.random.default_rng(176))
+        want = loop_lloyd_kmeans(feats, 3, np.random.default_rng(176))
+        assert np.bincount(want[1], minlength=3).min() == 0
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
@@ -536,6 +604,23 @@ class TestClusterModel:
         scores = model.member_scores()
         want = [min(math.dist(p, c) for c in model.centroids) for p in pts]
         np.testing.assert_allclose(scores, want, atol=1e-12)
+
+
+class TestFeatureWidth:
+    @pytest.mark.parametrize("store", ["unbuilt index", "built index", "cluster model"])
+    def test_other_width_rejected_without_change(self, store):
+        group = (ClusterModel(2, 0.25, np.random.default_rng(8)) if store == "cluster model"
+                 else NeighborIndex(2, mode="density"))
+        for i, p in enumerate([(0.0, 0.0), (1.0, 0.0), (0.0, 2.0), (3.0, 3.0)], start=1):
+            group.insert(i, p)
+        if store == "built index":
+            group.member_scores()
+        before = group.member_features()
+        with pytest.raises(ValueError, match="has 1 columns"):
+            group.insert(5, np.array([5.0]))
+        assert np.array_equal(group.member_features(), before)
+        group.insert(5, (5.0, 5.0))
+        assert np.array_equal(group.member_scores(), group.recompute_member_scores())
 
 
 # --- frequency -------------------------------------------------------------------
