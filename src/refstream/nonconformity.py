@@ -12,6 +12,13 @@ per-insert repair. After that it repairs every insert incrementally, and
 every removal from a group of more than ``NeighborIndex._REBUILD_MAX``
 members; a removal from a smaller group drops the rows, and the next read
 rebuilds them in one batch, which costs less than a repair at that size.
+A store of at most ``NeighborIndex._MATRIX_SLOTS`` slots also keeps the
+distance between every two members from its first read on, so such a
+rebuild gathers its distances instead of computing them, and a small
+group in distance mode keeps no rows at all: its scores are read off the
+matrix. Inserting the point just scored reuses the distances the score
+computed. The k-means model keeps an upper bound on its drift between
+exact checks and skips every check the bound shows cannot fire.
 
 Every Euclidean distance in this module, batch or incremental, comes from
 one kernel, ``_squared_distances`` (``_distances`` takes its square root;
@@ -31,6 +38,8 @@ scores LOF 1).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -263,6 +272,23 @@ class NeighborIndex(_SlotStore):
     two break even near 50 members in distance mode and 60 in density
     mode; an insert-only step repaired cheaper than a build at every size
     tried (10 to 200 members), so inserts never unbuild.
+
+    While the store has at most ``_MATRIX_SLOTS`` slots (its first block,
+    which covers every group that can unbuild), the first read also makes
+    ``_D``, the distance between every two occupied slots with an inf
+    diagonal, sized to the highest slot in use rounded up to a power of
+    two (a 30-member group holds 32 x 32). Each insert writes its row and
+    column; removals leave stale entries that no read reaches; the store
+    outgrowing its first block drops the matrix. Rebuilds gather their
+    distance block from it. In distance mode a group of at most
+    ``_REBUILD_MAX`` members keeps no rows: ``member_scores`` sorts the k
+    smallest entries of each member's matrix row, the same values in the
+    same order as the row's distances, and ``score`` never needs rows.
+
+    ``score`` keeps the query's bytes, the arrival count and the distances
+    it computed. An insert of the same bytes with no arrival since reuses
+    those distances, dropping the members removed in between, so a
+    detector step computes each newcomer's distances once.
     """
 
     _WHAT = "index"
@@ -270,6 +296,7 @@ class NeighborIndex(_SlotStore):
                    "_nvalid": 0, "_lrd": np.nan, "_score": np.nan}
     _BUILD_ROWS = 64
     _REBUILD_MAX = 48
+    _MATRIX_SLOTS = 64
 
     def __init__(self, k: int, mode: str = "distance"):
         if k < 1:
@@ -290,6 +317,9 @@ class NeighborIndex(_SlotStore):
         self._col = np.arange(k)
         self._prev = np.maximum(self._col - 1, 0)  # source column of a shift right
         self._built = False
+        self._D: np.ndarray | None = None  # slot-indexed pairwise distances, inf diagonal
+        # (feature bytes, arrivals, active slots, distances) of the last score
+        self._query: tuple | None = None
 
     def _active(self) -> np.ndarray:
         """Occupied slots, ascending."""
@@ -300,7 +330,7 @@ class NeighborIndex(_SlotStore):
     def _active_features(self) -> np.ndarray:
         """Features of the occupied slots, in the order of ``_active``."""
         if self._xact_cache is None:
-            self._xact_cache = self._X[self._active()]
+            self._xact_cache = np.take(self._X, self._active(), axis=0)
         return self._xact_cache
 
     def _group_changed(self):
@@ -317,15 +347,64 @@ class NeighborIndex(_SlotStore):
                 self._rebuild_rows(act[i : i + self._BUILD_ROWS])
             self._refresh(act)
 
+    def _query_distances(self, x: np.ndarray) -> np.ndarray:
+        """Distances from x to the occupied slots, in the order of ``_active``.
+
+        Reuses those of the last ``score`` when it was given the same bytes
+        and no member has arrived since; members removed in between are
+        dropped from them. The kernel is elementwise, so this is bitwise
+        a fresh computation.
+        """
+        q = self._query
+        if q is not None and q[1] == self._arrivals and q[0] == x.tobytes():
+            act, d = q[2], q[3]
+            return d if act.size == len(self) else d[self._alive[act]]
+        return _distances(self._active_features(), x)
+
+    def _matrix(self) -> np.ndarray | None:
+        """The pairwise distance matrix, made at the first read of a small store.
+
+        Rows and columns are slots, up to the highest one in use rounded up
+        to a power of two; entries of free slots are stale and never read.
+        A store of more than ``_MATRIX_SLOTS`` slots keeps none.
+        """
+        if self._D is None and self._cap <= self._MATRIX_SLOTS and len(self):
+            act = self._active()
+            block = _pairwise(self._active_features())
+            np.fill_diagonal(block, np.inf)
+            self._D = self._grown(np.empty((0, 0)), act[-1])
+            self._D[act[:, None], act] = block
+        return self._D
+
+    @staticmethod
+    def _grown(D: np.ndarray, slot: int) -> np.ndarray:
+        """D padded with inf to the smallest power of two (at least 16) above slot."""
+        size = max(16, len(D))
+        while size <= slot:
+            size *= 2
+        if size == len(D):
+            return D
+        new = np.full((size, size), np.inf)
+        new[: len(D), : len(D)] = D
+        return new
+
+    def _pair_block(self, slots: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Distances between two lists of members, inf where a slot meets itself."""
+        D = self._matrix()
+        if D is not None:
+            return D[slots[:, None], cols]
+        dist = _distances(self._X[slots][:, None, :], self._X[cols][None, :, :])
+        dist[slots[:, None] == cols] = np.inf
+        return dist
+
     def _rebuild_rows(self, slots: np.ndarray):
         # columns in arrival order, so a stable sort breaks ties by arrival
         cols = self._rows()
-        dist = _distances(self._X[slots][:, None, :], self._X[cols][None, :, :])
-        dist[slots[:, None] == cols] = np.inf
+        dist = self._pair_block(slots, cols)
         take = min(self.k, cols.size - 1)
         order = np.argsort(dist, axis=1, kind="stable")[:, :take]
         self._nbr[slots, :take] = cols[order]
-        self._nbrd[slots, :take] = np.take_along_axis(dist, order, axis=1)
+        self._nbrd[slots, :take] = dist[np.arange(slots.size)[:, None], order]
         self._nbr[slots, take:] = -1
         self._nbrd[slots, take:] = np.inf
         self._nvalid[slots] = take
@@ -344,28 +423,41 @@ class NeighborIndex(_SlotStore):
         # LRD changes propagate to LOFs of their reverse neighbours; the
         # mask's spare last entry stays False for the -1 padding to read
         act = self._active()
-        rows = self._nbr[act]
-        reach = np.zeros(self._cap + 1, dtype=bool)
-        reach[changed] = True
-        reach[act[reach[rows].any(axis=1)]] = True
-        s = reach.nonzero()[0]
-        nbr = self._nbr[s]
-        reach_d = np.maximum(np.maximum(self._nbrd[nbr, -1], self._nbrd[s]), REACH_FLOOR)
-        full = self._nvalid[s] == self.k
-        self._lrd[s] = np.where(full, 1.0 / (reach_d.sum(axis=1) / self.k), np.nan)
-        reach[act[reach[rows].any(axis=1)]] = True
-        s = reach.nonzero()[0]
-        full = self._nvalid[s] == self.k
-        lof = self._lrd[self._nbr[s]].sum(axis=1) / self.k / self._lrd[s]
-        self._score[s] = np.where(full, lof, np.nan)
+        if changed.size == act.size:  # a full build reaches every row
+            s_lrd = s_lof = act
+        else:
+            rows = self._nbr[act]
+            reach = np.zeros(self._cap + 1, dtype=bool)
+            reach[changed] = True
+            reach[act[reach[rows].any(axis=1)]] = True
+            s_lrd = reach.nonzero()[0]
+            reach[act[reach[rows].any(axis=1)]] = True
+            s_lof = reach.nonzero()[0]
+        reach_d = np.maximum(np.maximum(self._nbrd[self._nbr[s_lrd], -1], self._nbrd[s_lrd]),
+                             REACH_FLOOR)
+        full = self._nvalid[s_lrd] == self.k
+        self._lrd[s_lrd] = np.where(full, 1.0 / (reach_d.sum(axis=1) / self.k), np.nan)
+        full = self._nvalid[s_lof] == self.k
+        lof = self._lrd[self._nbr[s_lof]].sum(axis=1) / self.k / self._lrd[s_lof]
+        self._score[s_lof] = np.where(full, lof, np.nan)
 
     def insert(self, ident: int, feature):
         x = np.asarray(feature, dtype=float)
         act = self._active()
-        d = _distances(self._active_features(), x) if self._built and act.size else np.empty(0)
+        known = (self._built or self._D is not None) and act.size
+        d = self._query_distances(x) if known else np.empty(0)
         slot = self._claim(ident, x)
         self._alive[slot] = True
         self._group_changed()
+        if self._D is not None:
+            if self._cap > self._MATRIX_SLOTS:
+                self._D = None
+            else:
+                if slot >= len(self._D):
+                    self._D = self._grown(self._D, slot)
+                self._D[slot, act] = d
+                # the row's other entries are inf (its diagonal) or stale
+                self._D[:, slot] = self._D[slot]
         if not self._built:
             return
 
@@ -407,16 +499,20 @@ class NeighborIndex(_SlotStore):
     def score(self, feature) -> float:
         """Nonconformity of a query point against the current group."""
         x = np.asarray(feature, dtype=float)
-        self._ensure_built()
-        act, k = self._active(), self.k
+        k = self.k
         if self.mode == "distance":
+            act = self._active()
             if act.size < k:
                 raise DegenerateGroupError(f"need at least k={k} entries, have {act.size}")
             d = _distances(self._active_features(), x)
+            self._query = (x.tobytes(), self._arrivals, act, d)  # for an insert of x
             return float(np.partition(d, k - 1)[:k].sum() / k)
+        self._ensure_built()
+        act = self._active()
         if act.size < k + 1:
             raise DegenerateGroupError(f"need at least k+1={k + 1} entries, have {act.size}")
         d = _distances(self._active_features(), x)
+        self._query = (x.tobytes(), self._arrivals, act, d)
         # the first k by (distance, arrival) all lie at or below the k-th
         # smallest distance, so only those entries need sorting
         near = (d <= np.partition(d, k - 1)[k - 1]).nonzero()[0]
@@ -428,6 +524,15 @@ class NeighborIndex(_SlotStore):
 
     def member_scores(self) -> np.ndarray:
         """Cached leave-one-out scores in arrival order."""
+        k = self.k
+        if self.mode == "distance" and len(self) <= self._REBUILD_MAX:
+            # the k smallest of each row in ascending order: the values, and
+            # the order they are summed in, of the row's _nbrd prefix
+            rows = self._rows()
+            if rows.size <= k:
+                return np.full(rows.size, np.nan)
+            sub = self._pair_block(rows, rows)
+            return np.sort(np.partition(sub, k - 1, axis=1)[:, :k], axis=1).sum(axis=1) / k
         self._ensure_built()
         return self._score[self._rows()]
 
@@ -456,10 +561,25 @@ class ClusterModel(_SlotStore):
     grows past its post-recompute baseline by more than the configured
     factor, a full seeded k-means pass reassigns everything. Between
     recomputations assignments are order-dependent by construction.
+
+    The exact mean costs a pass over the group, so the model also keeps
+    ``_bound``, an upper bound on the summed distance, and skips a check
+    whose bound lies below the limit. By the triangle inequality an
+    insert of x into a cluster of n members adds at most
+    ``|x - c_new| + n |c_new - c_old|``, and a removal leaving n members
+    adds at most ``n |c_new - c_old| - |x - c_old|`` (an emptied cluster
+    keeps its centroid, so its shift is 0). Each term carries a relative
+    margin of ``_SLACK`` in the safe direction, far above rounding, so the
+    model reclusters exactly when checking every time would; every exact
+    mean resets the bound. A zero baseline leaves no room below the limit,
+    so it is checked exactly every time.
     """
 
     _WHAT = "cluster model"
     _SLOT_FILLS = {"_assign": -1}
+    # relative margin on every update of the drift bound, far above the
+    # rounding error of the distances and of the exact mean
+    _SLACK = 1e-9
 
     def __init__(self, n_clusters: int, recompute_factor: float, rng: np.random.Generator):
         if n_clusters < 1:
@@ -474,6 +594,7 @@ class ClusterModel(_SlotStore):
         self._sums = np.empty((0, 0))
         self._counts = np.empty(0, dtype=np.int64)
         self._baseline: float | None = None
+        self._bound = 0.0  # upper bound on the summed member-to-centroid distance
         self.recompute_count = 0
         self._assign = np.empty(0, dtype=np.int64)  # cluster of each slot
 
@@ -493,38 +614,58 @@ class ClusterModel(_SlotStore):
         slot = self._claim(ident, x)
         self._ensure_dim(x.size)
         if len(self.centroids) < self.n_clusters and self._baseline is None:
-            self._assign[slot] = self._open_cluster(x)
+            self._assign[slot] = self._open_cluster(x)  # at its centroid: the bound holds
         else:
             c = int(_distances(self.centroids, x).argmin())
             self._assign[slot] = c
+            n_old = int(self._counts[c])
             self._sums[c] += x
             self._counts[c] += 1
-            self.centroids[c] = self._sums[c] / self._counts[c]
+            new = self._sums[c] / self._counts[c]
+            # each old member moves at most as far as the centroid does
+            shift = math.dist(new, self.centroids[c])
+            self.centroids[c] = new
+            self._bound += (math.dist(x, new) + n_old * shift) * (1.0 + self._SLACK)
         self._check_drift()
 
     def remove(self, ident: int):
         slot = self._release(ident)
         c = self._assign[slot]
-        self._sums[c] -= self._X[slot]
+        x = self._X[slot]
+        gone = math.dist(x, self.centroids[c])
+        self._sums[c] -= x
         self._counts[c] -= 1
-        if self._counts[c] > 0:
-            self.centroids[c] = self._sums[c] / self._counts[c]
+        n_left = int(self._counts[c])
+        shift = 0.0  # an emptied cluster keeps its centroid
+        if n_left > 0:
+            new = self._sums[c] / self._counts[c]
+            shift = math.dist(new, self.centroids[c])
+            self.centroids[c] = new
+        self._bound += n_left * shift * (1.0 + self._SLACK) - gone * (1.0 - self._SLACK)
         self._check_drift()
 
     def _mean_distance(self) -> float:
+        """Exact mean member-to-centroid distance; resets the drift bound to it."""
         if not self._order_slots:
+            self._bound = 0.0
             return 0.0
         rows = self._rows()
-        return float(_distances(self._X[rows], self.centroids[self._assign[rows]]).mean())
+        mean = float(_distances(self._X[rows], self.centroids[self._assign[rows]]).mean())
+        self._bound = mean * rows.size * (1.0 + self._SLACK)
+        return mean
 
     def _check_drift(self):
         if len(self) < self.n_clusters:
             return
-        current = self._mean_distance()
-        if self._baseline is None:
-            self._baseline = current
+        limit = None if self._baseline is None else self._baseline * (1.0 + self.recompute_factor)
+        # the bound proves the exact mean is below the limit; a zero
+        # baseline gives a zero limit, which no bound is below
+        if limit is not None and self._bound / len(self) < limit * (1.0 - self._SLACK):
             return
-        if current > self._baseline * (1.0 + self.recompute_factor):
+        current = self._mean_distance()
+        if limit is None:
+            self._baseline = current
+        elif current > limit:
             self.recluster()
 
     def recluster(self):

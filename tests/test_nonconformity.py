@@ -13,6 +13,7 @@ from refstream.nonconformity import (
     FrequencyMeasure,
     FrequencyTable,
     NeighborIndex,
+    _distances,
     _member_lrds,
     batch_knn_scores,
     batch_lof_scores,
@@ -401,7 +402,11 @@ def check_first_read_build(k, mode, first_read, ops):
             pass
     else:
         getattr(lazy, first_read)()
-    assert lazy._built
+    # a read builds the rows only if it needs them: a distance-mode score
+    # never does, nor does member_scores over at most _REBUILD_MAX members
+    needs_rows = mode == "density" or first_read.startswith("cached_") or (
+        first_read == "member_scores" and len(lazy) > NeighborIndex._REBUILD_MAX)
+    assert lazy._built == needs_rows
     assert_same_state(lazy, eager, (0.5, 1.0))
     # after the build an insert is repaired, and so is a removal unless it
     # leaves at most _REBUILD_MAX members, which unbuilds the index
@@ -469,6 +474,137 @@ class TestNeighborIndexRemoval:
         assert idx._built == bool(left_over_limit)
         assert repaired._built
         assert_same_state(idx, repaired, (0.1, -0.2))
+
+
+def assert_matrix_exact(idx):
+    """Every pair of alive slots holds the kernel distance; a slot meets itself at inf."""
+    if idx._D is None:
+        return
+    act = idx._active()
+    feats = idx._X[act]
+    want = _distances(feats[:, None, :], feats[None, :, :])
+    np.fill_diagonal(want, np.inf)
+    assert np.array_equal(idx._D[np.ix_(act, act)], want)
+
+
+def check_matrix_churn(k, mode, ops):
+    # idx scores each newcomer before inserting it, as a detector step does,
+    # and some removals fall between that score and the insert; the twin
+    # keeps no matrix and never scores first, so it computes every distance
+    idx, twin = NeighborIndex(k, mode=mode), NeighborIndex(k, mode=mode)
+    alive, next_id = [], 1000
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(twin, "_MATRIX_SLOTS", 0)
+        for is_insert, a, b, pick in ops:
+            x = np.array((a / 2, b / 2))
+            if is_insert or not alive:
+                with contextlib.suppress(DegenerateGroupError):
+                    idx.score(x)
+                if alive and pick % 3 == 0:
+                    victim = alive.pop(pick % len(alive))
+                    idx.remove(victim)
+                    twin.remove(victim)
+                idx.insert(next_id, x)
+                twin.insert(next_id, x)
+                alive.append(next_id)
+                next_id -= 1
+            else:
+                victim = alive.pop(pick % len(alive))
+                idx.remove(victim)
+                twin.remove(victim)
+            assert_matrix_exact(idx)
+            if pick % 2:
+                assert_same_state(idx, twin, (b / 2, pick % 4 / 2))
+            else:
+                assert np.array_equal(idx.member_scores(), twin.member_scores(), equal_nan=True)
+        assert twin._D is None
+        assert_same_state(idx, twin, (0.5, 1.0))
+
+
+def filled_pair(mode, m=20):
+    # two identical groups, read once so that the matrix exists
+    feats = np.random.default_rng(16).normal(size=(m, 2)).round(1)
+    pair = NeighborIndex(3, mode=mode), NeighborIndex(3, mode=mode)
+    for idx in pair:
+        for ident, feature in enumerate(feats):
+            idx.insert(ident, feature)
+        idx.member_scores()
+    return pair
+
+
+class TestNeighborIndexMatrix:
+    @given(**INDEX_ARGS, ops=GRID_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_and_reused_distances_equal_a_fresh_index(self, k, mode, ops):
+        check_matrix_churn(k, mode, ops)
+
+    @given(**INDEX_ARGS, ops=GRID_OPS)
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_and_reuse_repairing_every_removal(self, k, mode, ops):
+        with repair_every_removal():
+            check_matrix_churn(k, mode, ops)
+
+    @pytest.mark.parametrize("mode", ["distance", "density"])
+    def test_matrix_dropped_past_its_slot_limit(self, mode):
+        idx = NeighborIndex(3, mode=mode)
+        rng = np.random.default_rng(17)
+        for ident in range(NeighborIndex._MATRIX_SLOTS):
+            idx.insert(ident, rng.normal(size=2))
+        idx.member_scores()
+        assert idx._D.shape == (64, 64)
+        idx.insert(99, rng.normal(size=2))
+        assert idx._D is None
+        assert np.array_equal(idx.member_scores(), idx.recompute_member_scores())
+
+    def test_matrix_sized_to_the_highest_slot(self):
+        idx = NeighborIndex(3)
+        for ident in range(10):
+            idx.insert(ident, (ident, 0.0))
+        idx.member_scores()
+        assert idx._D.shape == (16, 16)
+        for ident in range(10, 17):
+            idx.insert(ident, (ident, 0.0))
+        assert idx._D.shape == (32, 32)
+        assert_matrix_exact(idx)
+
+    @pytest.mark.parametrize("mode", ["distance", "density"])
+    def test_score_then_insert_computes_no_distance(self, mode, monkeypatch):
+        import refstream.nonconformity as nc
+
+        idx, _ = filled_pair(mode)
+        x = np.array([0.3, -0.2])
+        idx.score(x)
+        idx.remove(4)
+        calls = []
+        kernel = nc._distances
+        monkeypatch.setattr(nc, "_distances", lambda *a: calls.append(1) or kernel(*a))
+        idx.insert(99, x)
+        assert calls == []
+        assert_matrix_exact(idx)
+
+    @pytest.mark.parametrize("mode", ["distance", "density"])
+    def test_reuse_keyed_on_the_bytes(self, mode):
+        # the buffer scored is changed in place before it is inserted, as a
+        # reused feature window would be
+        idx, fresh = filled_pair(mode)
+        buf = np.array([0.3, -0.2])
+        idx.score(buf)
+        buf[:] = (1.5, 0.7)
+        idx.insert(99, buf)
+        fresh.insert(99, np.array([1.5, 0.7]))
+        assert_matrix_exact(idx)
+        assert_same_state(idx, fresh, (0.1, 0.1))
+
+    @pytest.mark.parametrize("mode", ["distance", "density"])
+    def test_no_reuse_after_an_arrival(self, mode):
+        idx, fresh = filled_pair(mode)
+        x = np.array([0.3, -0.2])
+        idx.score(x)
+        for group in (idx, fresh):
+            group.insert(98, (0.4, -0.1))
+            group.insert(99, x)
+        assert_matrix_exact(idx)
+        assert_same_state(idx, fresh, (0.1, 0.1))
 
 
 # --- clustering ----------------------------------------------------------------
@@ -604,6 +740,93 @@ class TestClusterModel:
         scores = model.member_scores()
         want = [min(math.dist(p, c) for c in model.centroids) for p in pts]
         np.testing.assert_allclose(scores, want, atol=1e-12)
+
+
+def summed_distance(model):
+    """Σ‖x − c(a)‖ over the members, each distance and the sum correctly rounded."""
+    return math.fsum(math.dist(model._X[slot], model.centroids[model._assign[slot]])
+                     for slot in model._rows())
+
+
+CLUSTER_OPS = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 99)),
+    max_size=80,
+)
+
+
+class TestClusterDriftBound:
+    @given(ops=CLUSTER_OPS, n_clusters=st.integers(1, 4),
+           factor=st.sampled_from([0.05, 0.25, 1.0]), drift=st.sampled_from([0.0, 0.1, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_skipped_checks_change_nothing(self, ops, n_clusters, factor, drift, seed):
+        # features on a half-unit grid, drifting along the first axis, so
+        # duplicates, ties, emptied clusters and reclusters all occur
+        model = ClusterModel(n_clusters, factor, np.random.default_rng(seed))
+        exact = ClusterModel(n_clusters, factor, np.random.default_rng(seed))
+        alive, arrivals = [], 0
+        for is_insert, a, b, pick in ops:
+            exact._bound = math.inf  # proves nothing, so the twin checks exactly
+            if is_insert or not alive:
+                feature = (a / 2 + drift * arrivals, b / 2)
+                for group in (model, exact):
+                    group.insert(arrivals, feature)
+                alive.append(arrivals)
+                arrivals += 1
+            else:
+                victim = alive.pop(pick % len(alive))
+                for group in (model, exact):
+                    group.remove(victim)
+            assert model._bound >= summed_distance(model)
+            assert np.array_equal(model.centroids, exact.centroids)
+            assert np.array_equal(model._assign[model._rows()], exact._assign[exact._rows()])
+            assert model._baseline == exact._baseline
+            assert model.recompute_count == exact.recompute_count
+            assert np.array_equal(model.member_scores(), exact.member_scores())
+
+    def test_stationary_stream_skips_most_exact_checks(self, monkeypatch):
+        model = ClusterModel(5, 0.25, np.random.default_rng(0))
+        calls = []
+        mean_distance = model._mean_distance
+        monkeypatch.setattr(model, "_mean_distance", lambda: calls.append(1) or mean_distance())
+        rng = np.random.default_rng(1)
+        checks = 0
+        for ident in range(400):  # a sliding window of 30 over N(0, 1) points
+            if ident >= 30:
+                model.remove(ident - 30)
+                checks += 1
+            model.insert(ident, rng.normal(size=2))
+            checks += len(model) >= model.n_clusters
+        assert model._baseline > 0
+        assert len(calls) * 4 < checks
+
+    def test_bound_follows_the_update_rule(self):
+        # a factor this large keeps every check below from being exact; the
+        # removed member's distance, which may be rounded up, is discounted
+        # by the margin rather than subtracted whole
+        model = ClusterModel(2, 1e6, np.random.default_rng(9))
+        for ident, p in enumerate([(0.0, 0.0), (4.0, 0.0), (1.0, 0.0), (5.0, 1.0)]):
+            model.insert(ident, p)
+        assert model.recompute_count == 1
+        up, down = 1.0 + ClusterModel._SLACK, 1.0 - ClusterModel._SLACK
+        steps = [("insert", 4, (0.5, 0.25)), ("remove", 2, None), ("insert", 5, (4.25, 3.0)),
+                 ("remove", 1, None), ("remove", 4, None), ("remove", 0, None)]
+        for op, ident, feature in steps:
+            before, counts, bound = model.centroids.copy(), model._counts.copy(), model._bound
+            if op == "insert":
+                model.insert(ident, feature)
+                c = model._assign[model._slot_of[ident]]
+                shift = math.dist(model.centroids[c], before[c])
+                want = bound + (math.dist(feature, model.centroids[c]) + counts[c] * shift) * up
+            else:
+                slot = model._slot_of[ident]
+                c, x = model._assign[slot], model._X[slot].copy()
+                model.remove(ident)
+                shift = math.dist(model.centroids[c], before[c])
+                want = bound + model._counts[c] * shift * up - math.dist(x, before[c]) * down
+            assert model._bound == pytest.approx(want, rel=1e-14, abs=0)
+        assert model.recompute_count == 1
+        assert model._bound >= summed_distance(model)
 
 
 class TestFeatureWidth:
