@@ -5,12 +5,13 @@ The matrix is 4 streams x the 20 grid detectors x both ``refresh`` modes x
 ``test_period`` 1 and 3. Three streams (drift, regime and noisy; stream
 seeds 100, 101 and 102) have 400 points, so reference groups hold 60
 members; the fourth (periodic, seed 103) has 200, so they hold 30. The two
-sizes sit on either side of ``NeighborIndex._REBUILD_MAX``: a removal from
-the larger groups repairs the neighbour rows, one from the smaller groups
-leaves them to be rebuilt at the next read. Each record is packed as its
-timestamp (int64), the four floats of the scoring chain (float64, bit for
-bit) and the flag, little-endian, in run order. Two checkouts whose
-records are bit-identical print the same line.
+sizes sit on either side of ``NeighborIndex._REBUILD_MAX``: the larger
+groups keep neighbour rows and repair them on every removal, while the
+groups of the 200-point stream keep no rows in either mode and derive
+their scores from their pairwise distances at each read. Each record is
+packed as its timestamp (int64), the four floats of the scoring chain
+(float64, bit for bit) and the flag, little-endian, in run order. Two
+checkouts whose records are bit-identical print the same line.
 
 Usage:
     PYTHONPATH=src python scripts/record_digest.py

@@ -6,19 +6,25 @@ incrementally maintained k-means model, and SAX-word frequency. Each
 streaming structure is the reference group's only feature store: members
 are inserted with their feature and removed by id alone. Each keeps
 cached per-member leave-one-out scores that must match a from-scratch
-recomputation. The k-NN index builds its neighbour rows in one batch at
-the first read, so filling the group during probation costs no
-per-insert repair. After that it repairs every insert incrementally, and
-every removal from a group of more than ``NeighborIndex._REBUILD_MAX``
-members; a removal from a smaller group drops the rows, and the next read
-rebuilds them in one batch, which costs less than a repair at that size.
-A store of at most ``NeighborIndex._MATRIX_SLOTS`` slots also keeps the
-distance between every two members from its first read on, so such a
-rebuild gathers its distances instead of computing them, and a small
-group in distance mode keeps no rows at all: its scores are read off the
-matrix. Inserting the point just scored reuses the distances the score
-computed. The k-means model keeps an upper bound on its drift between
-exact checks and skips every check the bound shows cannot fire.
+recomputation. A group of at most ``NeighborIndex._REBUILD_MAX`` members
+keeps no neighbour rows, in either mode: each read after a change takes
+the group's pairwise distances and derives the average k-NN distances,
+or the k-distances, LRDs and LOFs, in one batch. A larger group builds
+its rows in one batch at its first read and then repairs every insert
+and every removal incrementally; a removal that leaves at most
+``_REBUILD_MAX`` members drops the rows. A store of at most
+``NeighborIndex._MATRIX_SLOTS`` slots keeps the distance between every
+two members from its first read on, so those batches gather their
+distances instead of computing them. Inserting the point just scored
+reuses the distances the score computed. The k-means model keeps an
+upper bound on its drift between exact checks and skips every check the
+bound shows cannot fire.
+
+Groups hold tens to a few hundred members, so numpy's per-call cost, not
+arithmetic, sets the cost of most operations here. Hot gathers are
+therefore written ``a.take(idx, axis=0)`` rather than ``a[idx]``, and a
+row-wise gather as one flat ``take``: the same values at a quarter to a
+half of the cost for 30 to 110 members. Scatters stay as assignments.
 
 Every Euclidean distance in this module, batch or incremental, comes from
 one kernel, ``_squared_distances`` (``_distances`` takes its square root;
@@ -97,40 +103,60 @@ def batch_knn_scores(features, k: int) -> np.ndarray:
     return np.partition(dist, k - 1, axis=1)[:, :k].mean(axis=1)
 
 
-def _member_lrds(features, k: int):
-    """Members, their k nearest neighbours, k-distances and LRDs (standard LOF).
+def _rowwise_take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[i, idx[i, j]]`` for every i and j, as one take over the flat array."""
+    return a.take(idx + np.arange(0, a.size, a.shape[1])[:, None])
 
-    Reachability to a neighbour is capped below by the neighbour's
-    k-distance. Rows are in arrival order, so a stable sort breaks
-    distance ties by age.
+
+def _block_lof(dist: np.ndarray, k: int):
+    """k-distances, LRDs and LOFs of a group from its distance block (standard LOF).
+
+    The block is square with an inf diagonal and has at least k + 1 rows.
+    Its columns are in arrival order, so a stable sort breaks distance
+    ties by age. Reachability to a neighbour is capped below by the
+    neighbour's k-distance. Row means are ``sum / k``: numpy's ``mean``
+    divides the same sum by the count, so this is bitwise ``mean(axis=1)``
+    without the per-call cost of its Python wrapper.
     """
+    nbr = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    nd = _rowwise_take(dist, nbr)
+    kdist = nd[:, -1]
+    reach = np.maximum(np.maximum(kdist.take(nbr), nd), REACH_FLOOR)
+    lrd = 1.0 / (reach.sum(axis=1) / k)
+    return kdist, lrd, lrd.take(nbr).sum(axis=1) / k / lrd
+
+
+def _query_lof(d: np.ndarray, kdist: np.ndarray, lrd: np.ndarray, k: int) -> float:
+    """LOF of a query from its k nearest members, nearest first.
+
+    Takes their distances to the query, their k-distances and their LRDs.
+    """
+    reach = np.maximum(np.maximum(kdist, d), REACH_FLOOR)
+    return float(lrd.sum() / k / (1.0 / (reach.sum() / k)))
+
+
+def _batch_lof(features, k: int):
+    """Members in arrival order, with their k-distances, LRDs and LOFs."""
     feats = np.asarray(features, dtype=float)
     m = len(feats)
     if m < k + 1:
         raise DegenerateGroupError(f"need at least k+1={k + 1} entries, have {m}")
     dist = _pairwise(feats)
     np.fill_diagonal(dist, np.inf)
-    nbr = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    nd = np.take_along_axis(dist, nbr, axis=1)
-    kdist = nd[:, -1]
-    reach = np.maximum(np.maximum(kdist[nbr], nd), REACH_FLOOR)
-    return feats, nbr, kdist, 1.0 / reach.mean(axis=1)
+    return (feats, *_block_lof(dist, k))
 
 
 def batch_lof_scores(features, k: int) -> np.ndarray:
     """Local outlier factor of every member, in given order."""
-    _, nbr, _, lrd = _member_lrds(features, k)
-    return lrd[nbr].mean(axis=1) / lrd
+    return _batch_lof(features, k)[3]
 
 
 def lof_score(x, features, k: int) -> float:
     """LOF of a query point (not a member) against the group."""
-    feats, _, kdist, lrd = _member_lrds(features, k)
+    feats, kdist, lrd, _ = _batch_lof(features, k)
     d = _distances(feats, np.asarray(x, dtype=float))
-    order = np.argsort(d, kind="stable")[:k]
-    reach_q = np.maximum(np.maximum(kdist[order], d[order]), REACH_FLOOR)
-    lrd_q = 1.0 / reach_q.mean()
-    return float(lrd[order].mean() / lrd_q)
+    nn = np.argsort(d, kind="stable")[:k]
+    return _query_lof(d.take(nn), kdist.take(nn), lrd.take(nn), k)
 
 
 def cc_score(x, centroids) -> float:
@@ -241,7 +267,7 @@ class _SlotStore:
 
     def member_features(self) -> np.ndarray:
         """Member features in arrival order."""
-        return self._X[self._rows()]
+        return self._X.take(self._rows(), axis=0)
 
 
 class NeighborIndex(_SlotStore):
@@ -253,25 +279,29 @@ class NeighborIndex(_SlotStore):
     neighbourhood and everything that references it). Every repair is a
     fixed number of array operations: boolean slot masks find the rows a
     change reaches, and gathers over the (slot, k) neighbour table update
-    them together. A row's k-distance is its last neighbour distance,
-    which stays inf until the row has k neighbours. The occupied slots
-    and their features are gathered once per change of the group, so a
-    group that stops changing scores queries without gathering.
+    them together. Every built row holds the ``min(k, m - 1)`` nearest
+    other members of an m-member group, so a group of at most k members
+    has no full row and scores NaN, and in a larger one every row is full.
+    The occupied slots and their features are gathered once per change of
+    the group, so a group that stops changing scores queries without
+    gathering.
 
-    Until the first read (``score``, ``member_scores``,
-    ``cached_kdistances`` or ``cached_lrds``) ``insert`` and ``remove``
-    only claim or release a slot. That read builds every row in blocks of
+    Until the first read that needs rows (a ``cached_*`` view, or
+    ``member_scores`` or a density ``score`` over more than
+    ``_REBUILD_MAX`` members), ``insert`` and ``remove`` only claim or
+    release a slot. That read builds every row in blocks of
     ``_BUILD_ROWS`` (bounding the temporary distance block) and derives
     the cached scores once; rows are ordered by (distance, arrival) either
     way, so the result is bitwise what incremental repair would have left.
     After the build, inserts are repaired in place. A removal that leaves
-    at most ``_REBUILD_MAX`` members unbuilds the index instead, so the
-    next read rebuilds it: in a small group most rows list the leaving
-    member, and one batch build costs less than repairing them. Timing a
-    sliding-window step (remove, insert, ``member_scores``) both ways, the
-    two break even near 50 members in distance mode and 60 in density
-    mode; an insert-only step repaired cheaper than a build at every size
-    tried (10 to 200 members), so inserts never unbuild.
+    at most ``_REBUILD_MAX`` members drops the rows instead, and a group
+    that small keeps none (below): in a small group most rows list the
+    leaving member, and one batch over the group costs less than
+    repairing them. Timing a sliding-window step (remove, insert,
+    ``member_scores``) both ways, the two break even near 50 members in
+    distance mode and 60 in density mode; an insert-only step repaired
+    cheaper than a build at every size tried (10 to 200 members), so
+    inserts never unbuild.
 
     While the store has at most ``_MATRIX_SLOTS`` slots (its first block,
     which covers every group that can unbuild), the first read also makes
@@ -279,21 +309,30 @@ class NeighborIndex(_SlotStore):
     diagonal, sized to the highest slot in use rounded up to a power of
     two (a 30-member group holds 32 x 32). Each insert writes its row and
     column; removals leave stale entries that no read reaches; the store
-    outgrowing its first block drops the matrix. Rebuilds gather their
-    distance block from it. In distance mode a group of at most
-    ``_REBUILD_MAX`` members keeps no rows: ``member_scores`` sorts the k
-    smallest entries of each member's matrix row, the same values in the
-    same order as the row's distances, and ``score`` never needs rows.
+    outgrowing its first block drops the matrix. Rebuilds and the
+    row-free reads below gather their distance blocks from it.
+
+    A group of at most ``_REBUILD_MAX`` members keeps no rows in either
+    mode; only the ``cached_*`` views build them. In distance mode
+    ``member_scores`` sorts the k smallest entries of each member's block
+    row, the same values in the same order as the row's distances, and
+    ``score`` never needs rows. In density mode ``member_scores`` derives
+    every k-distance, LRD and LOF in one batch from the block
+    (``_block_lof``, the arithmetic of the rows and their cascade) and
+    keeps them until the group changes; ``score`` reads the k-distances
+    and LRDs of its k nearest members from there.
 
     ``score`` keeps the query's bytes, the arrival count and the distances
     it computed. An insert of the same bytes with no arrival since reuses
     those distances, dropping the members removed in between, so a
     detector step computes each newcomer's distances once.
+
+    Gathers of rows, of a column and row-wise gathers use ``take``, for
+    the per-call cost given in the module docstring.
     """
 
     _WHAT = "index"
-    _SLOT_FILLS = {"_alive": False, "_nbr": -1, "_nbrd": np.inf,
-                   "_nvalid": 0, "_lrd": np.nan, "_score": np.nan}
+    _SLOT_FILLS = {"_alive": False, "_nbr": -1, "_nbrd": np.inf, "_lrd": np.nan, "_score": np.nan}
     _BUILD_ROWS = 64
     _REBUILD_MAX = 48
     _MATRIX_SLOTS = 64
@@ -309,11 +348,12 @@ class NeighborIndex(_SlotStore):
         self._alive = np.empty(0, dtype=bool)
         self._nbr = np.empty((0, k), dtype=np.int64)  # slot numbers, -1 padded
         self._nbrd = np.empty((0, k))  # their distances, inf padded
-        self._nvalid = np.empty(0, dtype=np.int32)
         self._lrd = np.empty(0)
         self._score = np.empty(0)
         self._act_cache: np.ndarray | None = None
         self._xact_cache: np.ndarray | None = None
+        # (rows, k-distances, LRDs, LOFs) of a small density group, arrival order
+        self._lof_cache: tuple | None = None
         self._col = np.arange(k)
         self._prev = np.maximum(self._col - 1, 0)  # source column of a shift right
         self._built = False
@@ -330,11 +370,11 @@ class NeighborIndex(_SlotStore):
     def _active_features(self) -> np.ndarray:
         """Features of the occupied slots, in the order of ``_active``."""
         if self._xact_cache is None:
-            self._xact_cache = np.take(self._X, self._active(), axis=0)
+            self._xact_cache = self._X.take(self._active(), axis=0)
         return self._xact_cache
 
     def _group_changed(self):
-        self._act_cache = self._xact_cache = None
+        self._act_cache = self._xact_cache = self._lof_cache = None
 
     def _ensure_built(self):
         """Build every row and cached score, once, before the first read."""
@@ -358,7 +398,7 @@ class NeighborIndex(_SlotStore):
         q = self._query
         if q is not None and q[1] == self._arrivals and q[0] == x.tobytes():
             act, d = q[2], q[3]
-            return d if act.size == len(self) else d[self._alive[act]]
+            return d if act.size == len(self) else d[self._alive.take(act)]
         return _distances(self._active_features(), x)
 
     def _matrix(self) -> np.ndarray | None:
@@ -392,10 +432,22 @@ class NeighborIndex(_SlotStore):
         """Distances between two lists of members, inf where a slot meets itself."""
         D = self._matrix()
         if D is not None:
-            return D[slots[:, None], cols]
-        dist = _distances(self._X[slots][:, None, :], self._X[cols][None, :, :])
+            return D.take(slots, axis=0).take(cols, axis=1)
+        X = self._X
+        dist = _distances(X.take(slots, axis=0)[:, None, :], X.take(cols, axis=0)[None, :, :])
         dist[slots[:, None] == cols] = np.inf
         return dist
+
+    def _small_lof(self) -> tuple:
+        """Rows, k-distances, LRDs and LOFs of a small density group, in arrival order.
+
+        Computed in one batch at the first read after a change of the
+        group; the group must have more than k members.
+        """
+        if self._lof_cache is None:
+            rows = self._rows()
+            self._lof_cache = (rows, *_block_lof(self._pair_block(rows, rows), self.k))
+        return self._lof_cache
 
     def _rebuild_rows(self, slots: np.ndarray):
         # columns in arrival order, so a stable sort breaks ties by arrival
@@ -403,43 +455,44 @@ class NeighborIndex(_SlotStore):
         dist = self._pair_block(slots, cols)
         take = min(self.k, cols.size - 1)
         order = np.argsort(dist, axis=1, kind="stable")[:, :take]
-        self._nbr[slots, :take] = cols[order]
-        self._nbrd[slots, :take] = dist[np.arange(slots.size)[:, None], order]
+        self._nbr[slots, :take] = cols.take(order)
+        self._nbrd[slots, :take] = _rowwise_take(dist, order)
         self._nbr[slots, take:] = -1
         self._nbrd[slots, take:] = np.inf
-        self._nvalid[slots] = take
 
     def _refresh(self, changed: np.ndarray):
-        # row means are sum / k, the arithmetic of .mean() without the
-        # per-call cost of its Python wrapper
-        if self.mode == "distance":
-            full = self._nvalid[changed] == self.k
-            self._score[changed] = np.where(full, self._nbrd[changed].sum(axis=1) / self.k, np.nan)
+        # every change to a group of at most k members reaches all rows,
+        # none of them full; row means are sum / k, the arithmetic of
+        # .mean() without the per-call cost of its Python wrapper
+        if len(self) <= self.k:
+            self._lrd[changed] = self._score[changed] = np.nan
+        elif self.mode == "distance":
+            self._score[changed] = self._nbrd.take(changed, axis=0).sum(axis=1) / self.k
         else:
             self._density_cascade(changed)
 
     def _density_cascade(self, changed: np.ndarray):
         # k-distance changes propagate to LRDs of reverse neighbours, and
-        # LRD changes propagate to LOFs of their reverse neighbours; the
-        # mask's spare last entry stays False for the -1 padding to read
+        # LRD changes propagate to LOFs of their reverse neighbours; every
+        # row is full, so no entry is -1 padding
         act = self._active()
         if changed.size == act.size:  # a full build reaches every row
             s_lrd = s_lof = act
         else:
-            rows = self._nbr[act]
-            reach = np.zeros(self._cap + 1, dtype=bool)
+            rows = self._nbr.take(act, axis=0)
+            reach = np.zeros(self._cap, dtype=bool)
             reach[changed] = True
-            reach[act[reach[rows].any(axis=1)]] = True
+            reach[act[reach.take(rows).any(axis=1)]] = True
             s_lrd = reach.nonzero()[0]
-            reach[act[reach[rows].any(axis=1)]] = True
+            reach[act[reach.take(rows).any(axis=1)]] = True
             s_lof = reach.nonzero()[0]
-        reach_d = np.maximum(np.maximum(self._nbrd[self._nbr[s_lrd], -1], self._nbrd[s_lrd]),
-                             REACH_FLOOR)
-        full = self._nvalid[s_lrd] == self.k
-        self._lrd[s_lrd] = np.where(full, 1.0 / (reach_d.sum(axis=1) / self.k), np.nan)
-        full = self._nvalid[s_lof] == self.k
-        lof = self._lrd[self._nbr[s_lof]].sum(axis=1) / self.k / self._lrd[s_lof]
-        self._score[s_lof] = np.where(full, lof, np.nan)
+        nbr = self._nbr.take(s_lrd, axis=0)
+        reach_d = np.maximum(np.maximum(self._nbrd[:, -1].take(nbr),
+                                        self._nbrd.take(s_lrd, axis=0)), REACH_FLOOR)
+        self._lrd[s_lrd] = 1.0 / (reach_d.sum(axis=1) / self.k)
+        lrd = self._lrd
+        self._score[s_lof] = (lrd.take(self._nbr.take(s_lof, axis=0)).sum(axis=1) / self.k
+                              / lrd.take(s_lof))
 
     def insert(self, ident: int, feature):
         x = np.asarray(feature, dtype=float)
@@ -461,24 +514,24 @@ class NeighborIndex(_SlotStore):
         if not self._built:
             return
 
-        order = np.lexsort((self._seq[act], d))[: self.k]
+        order = np.lexsort((self._seq.take(act), d))[: self.k]
         self._nbr[slot] = -1
         self._nbrd[slot] = np.inf
-        self._nbr[slot, : order.size] = act[order]
-        self._nbrd[slot, : order.size] = d[order]
-        self._nvalid[slot] = order.size
+        self._nbr[slot, : order.size] = act.take(order)
+        self._nbrd[slot, : order.size] = d.take(order)
 
-        # incumbents that admit the newcomer; it arrived last, so it goes
-        # after every neighbour at an equal distance (and an inf distance
-        # after the valid entries, not among the padding)
-        hit = ((self._nvalid[act] < self.k) | (d < self._nbrd[act, -1])).nonzero()[0]
-        rows, dr = act[hit], d[hit, None]
-        nbr, nbrd, nvalid = self._nbr[rows], self._nbrd[rows], self._nvalid[rows]
+        # incumbents that admit the newcomer: all of them while their rows
+        # hold every other member, else those it is nearer than the last
+        # neighbour; it arrived last, so it goes after every neighbour at
+        # an equal distance (and an inf distance after the valid entries)
+        nvalid = min(self.k, act.size - 1)  # neighbours in every row
+        hit = ((d < self._nbrd[:, -1].take(act)) | (nvalid < self.k)).nonzero()[0]
+        rows, dr = act.take(hit), d.take(hit)[:, None]
+        nbr, nbrd = self._nbr.take(rows, axis=0), self._nbrd.take(rows, axis=0)
         pos = np.minimum((nbrd <= dr).sum(axis=1), nvalid)[:, None]
         before, at = self._col < pos, self._col == pos
-        self._nbr[rows] = np.where(before, nbr, np.where(at, slot, nbr[:, self._prev]))
-        self._nbrd[rows] = np.where(before, nbrd, np.where(at, dr, nbrd[:, self._prev]))
-        self._nvalid[rows] = np.minimum(nvalid + 1, self.k)
+        self._nbr[rows] = np.where(before, nbr, np.where(at, slot, nbr.take(self._prev, axis=1)))
+        self._nbrd[rows] = np.where(before, nbrd, np.where(at, dr, nbrd.take(self._prev, axis=1)))
         self._refresh(np.append(rows, slot))
 
     def remove(self, ident: int):
@@ -491,7 +544,7 @@ class NeighborIndex(_SlotStore):
             self._built = False
             return
         act = self._active()
-        hit = act[(self._nbr[act] == slot).any(axis=1)]
+        hit = act[(self._nbr.take(act, axis=0) == slot).any(axis=1)]
         if hit.size:
             self._rebuild_rows(hit)
             self._refresh(hit)
@@ -500,41 +553,43 @@ class NeighborIndex(_SlotStore):
         """Nonconformity of a query point against the current group."""
         x = np.asarray(feature, dtype=float)
         k = self.k
-        if self.mode == "distance":
-            act = self._active()
-            if act.size < k:
-                raise DegenerateGroupError(f"need at least k={k} entries, have {act.size}")
-            d = _distances(self._active_features(), x)
-            self._query = (x.tobytes(), self._arrivals, act, d)  # for an insert of x
-            return float(np.partition(d, k - 1)[:k].sum() / k)
-        self._ensure_built()
         act = self._active()
-        if act.size < k + 1:
-            raise DegenerateGroupError(f"need at least k+1={k + 1} entries, have {act.size}")
+        need, name = (k, "k") if self.mode == "distance" else (k + 1, "k+1")
+        if act.size < need:
+            raise DegenerateGroupError(f"need at least {name}={need} entries, have {act.size}")
         d = _distances(self._active_features(), x)
-        self._query = (x.tobytes(), self._arrivals, act, d)
+        self._query = (x.tobytes(), self._arrivals, act, d)  # for an insert of x
+        if self.mode == "distance":
+            return float(np.partition(d, k - 1)[:k].sum() / k)
+        if act.size <= self._REBUILD_MAX:
+            # the distances in arrival order, so a stable sort breaks ties by age
+            rows, kdist, lrd, _ = self._small_lof()
+            d = d.take(act.searchsorted(rows))
+            nn = np.argsort(d, kind="stable")[:k]
+            return _query_lof(d.take(nn), kdist.take(nn), lrd.take(nn), k)
+        self._ensure_built()
         # the first k by (distance, arrival) all lie at or below the k-th
         # smallest distance, so only those entries need sorting
         near = (d <= np.partition(d, k - 1)[k - 1]).nonzero()[0]
-        order = near[np.lexsort((self._seq[act[near]], d[near]))[:k]]
-        nn = act[order]
-        reach = np.maximum(np.maximum(self._nbrd[nn, -1], d[order]), REACH_FLOOR)
-        lrd_q = 1.0 / (reach.sum() / k)
-        return float(self._lrd[nn].sum() / k / lrd_q)
+        order = near.take(np.lexsort((self._seq.take(act.take(near)), d.take(near)))[:k])
+        nn = act.take(order)
+        return _query_lof(d.take(order), self._nbrd[:, -1].take(nn), self._lrd.take(nn), k)
 
     def member_scores(self) -> np.ndarray:
         """Cached leave-one-out scores in arrival order."""
         k = self.k
-        if self.mode == "distance" and len(self) <= self._REBUILD_MAX:
+        if len(self) <= self._REBUILD_MAX:
+            if len(self) <= k:
+                return np.full(len(self), np.nan)
+            if self.mode == "density":
+                return self._small_lof()[3]
             # the k smallest of each row in ascending order: the values, and
             # the order they are summed in, of the row's _nbrd prefix
             rows = self._rows()
-            if rows.size <= k:
-                return np.full(rows.size, np.nan)
             sub = self._pair_block(rows, rows)
             return np.sort(np.partition(sub, k - 1, axis=1)[:, :k], axis=1).sum(axis=1) / k
         self._ensure_built()
-        return self._score[self._rows()]
+        return self._score.take(self._rows())
 
     def recompute_member_scores(self) -> np.ndarray:
         feats = self.member_features()
@@ -545,11 +600,11 @@ class NeighborIndex(_SlotStore):
     # cache views used by the equivalence tests
     def cached_kdistances(self) -> np.ndarray:
         self._ensure_built()
-        return self._nbrd[self._rows(), -1]
+        return self._nbrd[:, -1].take(self._rows())
 
     def cached_lrds(self) -> np.ndarray:
         self._ensure_built()
-        return self._lrd[self._rows()]
+        return self._lrd.take(self._rows())
 
 
 class ClusterModel(_SlotStore):
@@ -650,7 +705,8 @@ class ClusterModel(_SlotStore):
             self._bound = 0.0
             return 0.0
         rows = self._rows()
-        mean = float(_distances(self._X[rows], self.centroids[self._assign[rows]]).mean())
+        assigned = self.centroids.take(self._assign.take(rows), axis=0)
+        mean = float(_distances(self._X.take(rows, axis=0), assigned).mean())
         self._bound = mean * rows.size * (1.0 + self._SLACK)
         return mean
 
@@ -671,7 +727,7 @@ class ClusterModel(_SlotStore):
     def recluster(self):
         """Full k-means over the current members; resets the drift baseline."""
         rows = self._rows()
-        feats = self._X[rows]
+        feats = self._X.take(rows, axis=0)
         centroids, assign = lloyd_kmeans(feats, self.n_clusters, self.rng)
         self.centroids = centroids
         self._assign[rows] = assign
@@ -686,7 +742,12 @@ class ClusterModel(_SlotStore):
         return cc_score(feature, self.centroids)
 
     def member_scores(self) -> np.ndarray:
-        return _distances(self.member_features()[:, None, :], self.centroids).min(axis=1)
+        # transposed (centroid, member): each difference is negated, which
+        # leaves its square as it was, and the columns are summed in the
+        # same order, so this is bitwise the (member, centroid) form; the
+        # minimum then runs along the long contiguous axis, which at these
+        # sizes costs a fraction of the per-row reduction
+        return _distances(self.centroids[:, None, :], self.member_features()).min(axis=0)
 
     # the model itself is the state, so the exact refresh coincides with it
     recompute_member_scores = member_scores

@@ -12,7 +12,9 @@ slice that ends at i + n, so a step reads them without a copy. The
 transforms compute means and standard deviations with the arithmetic of
 numpy's ``mean``/``std`` (one pairwise sum, a division, then the squared
 deviations summed the same way) without the per-call cost of their Python
-wrappers, so every feature is bitwise numpy's.
+wrappers: they call ``np.add.reduce``, the reduction ``sum`` and ``mean``
+run, and ``math.sqrt``, correctly rounded like ``np.sqrt``. So every
+feature is bitwise numpy's.
 
 The SAX breakpoints are standard-normal quantiles from ``_ndtri``, a
 pure-Python port of the Cephes ``ndtri`` that ``scipy.special.ndtri`` wraps.
@@ -109,9 +111,9 @@ def breakpoints(alphabet_size: int) -> np.ndarray:
 def _mean_and_deviations(x: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Mean, deviations from it, and population standard deviation of x."""
     n = x.size
-    mean = x.sum() / n
+    mean = np.add.reduce(x) / n
     d = x - mean
-    return mean, d, np.sqrt((d * d).sum() / n)
+    return mean, d, math.sqrt(np.add.reduce(d * d) / n)
 
 
 def meanstd_transform(values) -> np.ndarray:
@@ -127,7 +129,7 @@ def paa(values, segments: int) -> np.ndarray:
         raise ConfigError(
             f"window length {arr.size} is not divisible by {segments} segments"
         )
-    return arr.reshape(segments, -1).sum(axis=1) / (arr.size // segments)
+    return np.add.reduce(arr.reshape(segments, -1), axis=1) / (arr.size // segments)
 
 
 def symbolize(paa_values, alphabet_size: int, cuts: np.ndarray | None = None) -> str:

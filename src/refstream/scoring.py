@@ -181,31 +181,43 @@ class AnomalyScorer:
         self._reference = ref
 
     def _slide(self, pv: float):
-        """Append pv to the window, evicting the oldest value once it is full."""
+        """Append pv to the window, evicting the oldest value once it is full.
+
+        On a full window both positions are found in the whole buffer, and
+        the entries between them move one place towards the evicted one's.
+        Equal values are equal bits (p-values are never -0.0 or NaN), so
+        any sorted order of the same values is this one.
+        """
         srt = self._sorted
         n = len(self.window)
         if n == self.ks_window:
-            gap = int(srt[:n].searchsorted(self.window[0]))
-            srt[gap : n - 1] = srt[gap + 1 : n]
-            n -= 1
-        pos = int(srt[:n].searchsorted(pv, side="right"))
-        srt[pos + 1 : n + 1] = srt[pos:n]
-        srt[pos] = pv
+            gap = srt.searchsorted(self.window[0])
+            pos = srt.searchsorted(pv, side="right")
+            if pos > gap:  # the evicted value is at most pv
+                srt[gap : pos - 1] = srt[gap + 1 : pos]
+                srt[pos - 1] = pv
+            else:
+                srt[pos + 1 : gap + 1] = srt[pos:gap]
+                srt[pos] = pv
+        else:
+            pos = srt[:n].searchsorted(pv, side="right")
+            srt[pos + 1 : n + 1] = srt[pos:n]
+            srt[pos] = pv
         self.window.append(pv)
 
     def step(self, a_t: float) -> tuple[float, float, float]:
         """Score one nonconformity value; returns (p_value, significance, final)."""
         if not self._bootstrapped:
             raise DegenerateGroupError("scorer used before bootstrap")
-        pv = p_value(a_t, self._reference)
+        ref = self._reference
+        pv = np.count_nonzero(ref >= a_t) / ref.size  # p_value without its wrapper
         self._slide(pv)
         if self._steps % self.test_period == 0:
             n = len(self.window)
             if n == self.ks_window:
-                upper, lower = self._upper, self._lower
+                d = _sup_distance(self._sorted, self._upper, self._lower)
             else:
-                upper, lower = _ecdf_steps(n)
-            d = _sup_distance(self._sorted[:n], upper, lower)
+                d = _sup_distance(self._sorted[:n], *_ecdf_steps(n))
             self._held_significance = ks_significance(d, n)
         self._steps += 1
         final = unify(self._held_significance, self.unifier)

@@ -13,8 +13,8 @@ from refstream.nonconformity import (
     FrequencyMeasure,
     FrequencyTable,
     NeighborIndex,
+    _batch_lof,
     _distances,
-    _member_lrds,
     batch_knn_scores,
     batch_lof_scores,
     cc_score,
@@ -316,21 +316,22 @@ def check_churn(k, mode, ops):
         if len(alive) >= k + 1:
             assert np.array_equal(idx.member_scores(), idx.recompute_member_scores())
             if mode == "density":
-                _, _, kdist, lrd = _member_lrds(feats, k)
+                _, kdist, lrd, _ = _batch_lof(feats, k)
                 assert np.array_equal(idx.cached_kdistances(), kdist)
                 assert np.array_equal(idx.cached_lrds(), lrd)
                 assert idx.score(query) == lof_score(query, feats, k)
             else:
                 assert idx.score(query) == knn_score(query, feats, k)
-        # each row lists the nearest members by (distance, arrival);
-        # rows are built at the first read, so read before looking
+        # each row lists its min(k, m - 1) nearest members by (distance,
+        # arrival); the cached_* views build the rows, so read before looking
         idx.cached_kdistances()
+        n = min(k, len(alive) - 1)
+        assert ((idx._nbr[idx._active()] != -1).sum(axis=1) == n).all()
         ident_of = {slot: ident for ident, slot in idx._slot_of.items()}
         for i, ident in enumerate(alive):
             d = np.sqrt(((feats - feats[i]) ** 2).sum(axis=1))
             want = sorted((d[j], j) for j in range(len(alive)) if j != i)[:k]
             slot = idx._slot_of[ident]
-            n = int(idx._nvalid[slot])
             got = [ident_of[s] for s in idx._nbr[slot, :n].tolist()]
             assert got == [alive[j] for _, j in want]
             assert idx._nbrd[slot, :n].tolist() == [dist for dist, _ in want]
@@ -364,7 +365,6 @@ def index_state(idx, query):
         "cached_lrds": idx.cached_lrds(),
         "nbr": idx._nbr[rows],
         "nbrd": idx._nbrd[rows],
-        "nvalid": idx._nvalid[rows],
     }
 
 
@@ -372,8 +372,7 @@ def assert_same_state(lazy, eager, query):
     got, want = index_state(lazy, query), index_state(eager, query)
     for name in ("member_scores", "cached_kdistances", "cached_lrds", "nbrd"):
         assert np.array_equal(got[name], want[name], equal_nan=True), name
-    for name in ("nbr", "nvalid"):
-        assert np.array_equal(got[name], want[name]), name
+    assert np.array_equal(got["nbr"], want["nbr"])
     assert got["score"] == want["score"]
 
 
@@ -395,17 +394,20 @@ def check_first_read_build(k, mode, first_read, ops):
             eager.remove(victim)
         eager.cached_kdistances()
     assert not lazy._built
+    failed = False
     if first_read == "score":
         try:
             lazy.score((0.5, 1.0))
         except DegenerateGroupError:
-            pass
+            failed = True
     else:
         getattr(lazy, first_read)()
-    # a read builds the rows only if it needs them: a distance-mode score
-    # never does, nor does member_scores over at most _REBUILD_MAX members
-    needs_rows = mode == "density" or first_read.startswith("cached_") or (
-        first_read == "member_scores" and len(lazy) > NeighborIndex._REBUILD_MAX)
+    # the cached_* views build the rows; score and member_scores build
+    # them only over more than _REBUILD_MAX members, a distance-mode score
+    # never does, and a score refused for too few members builds nothing
+    needs_rows = first_read.startswith("cached_") or (
+        len(lazy) > NeighborIndex._REBUILD_MAX and not failed
+        and (mode == "density" or first_read == "member_scores"))
     assert lazy._built == needs_rows
     assert_same_state(lazy, eager, (0.5, 1.0))
     # after the build an insert is repaired, and so is a removal unless it
@@ -474,6 +476,48 @@ class TestNeighborIndexRemoval:
         assert idx._built == bool(left_over_limit)
         assert repaired._built
         assert_same_state(idx, repaired, (0.1, -0.2))
+
+
+# a coarse 2-D grid: duplicate members, and ties at every neighbour rank
+COARSE_POINT = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda p: (p[0] / 4, p[1] / 4))
+SMALL_GROUPS = st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(COARSE_POINT, min_size=k + 1, max_size=NeighborIndex._REBUILD_MAX),
+    st.lists(COARSE_POINT, min_size=1, max_size=3),
+))
+
+
+class TestSmallGroupWithoutRows:
+    @given(group=SMALL_GROUPS, mode=st.sampled_from(["distance", "density"]),
+           drop=st.integers(2, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_row_free_reads_equal_built_rows_and_batch(self, group, mode, drop):
+        # idx reads a group of at most _REBUILD_MAX members without rows;
+        # the twin, its limit at 0, builds and repairs them; both then see
+        # every drop-th member removed and the queries inserted
+        k, points, queries = group
+        idx, twin = NeighborIndex(k, mode=mode), NeighborIndex(k, mode=mode)
+        twin._REBUILD_MAX = 0
+        for index in (idx, twin):
+            for ident, p in enumerate(points):
+                index.insert(ident, p)
+        for step in range(2):
+            feats = idx.member_features()
+            got = idx.member_scores()
+            assert np.array_equal(got, twin.member_scores(), equal_nan=True)
+            if mode == "density" and len(feats) > k:
+                assert np.array_equal(got, batch_lof_scores(feats, k))
+            for q in queries:
+                if len(feats) > k:
+                    want = lof_score(q, feats, k) if mode == "density" else knn_score(q, feats, k)
+                    assert idx.score(q) == twin.score(q) == want
+            assert not idx._built and twin._built
+            if step == 0:
+                for index in (idx, twin):
+                    for ident in range(0, len(points), drop):
+                        index.remove(ident)
+                    for j, q in enumerate(queries):
+                        index.insert(1000 + j, q)
 
 
 def assert_matrix_exact(idx):
@@ -740,6 +784,24 @@ class TestClusterModel:
         scores = model.member_scores()
         want = [min(math.dist(p, c) for c in model.centroids) for p in pts]
         np.testing.assert_allclose(scores, want, atol=1e-12)
+
+
+# duplicate rows, ties between centroids and signed zeros
+CLUSTER_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+                          st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+class TestClusterMemberScores:
+    @given(points=st.lists(st.tuples(CLUSTER_VALUE, CLUSTER_VALUE), min_size=1, max_size=60),
+           n_clusters=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_transposed_kernel_is_bitwise_the_member_major_one(self, points, n_clusters, seed):
+        model = ClusterModel(n_clusters, 0.25, np.random.default_rng(seed))
+        for ident, p in enumerate(points):
+            model.insert(ident, p)
+        feats = model.member_features()
+        want = _distances(feats[:, None, :], model.centroids).min(axis=1)
+        assert model.member_scores().tobytes() == want.tobytes()
 
 
 def summed_distance(model):

@@ -275,3 +275,6 @@ class TestAnomalyScorer:
                 significance = ks_significance(ks_statistic(list(window)), len(window))
             expected = (pv, significance, unify(significance, unifier))
             assert scorer.step(a) == expected
+            # the slide keeps the buffer sorted, also with ties at the
+            # evicted and the inserted value
+            assert scorer._sorted[: len(window)].tolist() == sorted(window)
