@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Print the record count and one SHA-256 over a fixed matrix of detector runs.
 
-The matrix is 4 streams x the 20 grid detectors x both ``refresh`` modes x
-``test_period`` 1 and 3. Three streams (drift, regime and noisy; stream
-seeds 100, 101 and 102) have 400 points, so reference groups hold 60
-members; the fourth (periodic, seed 103) has 200, so they hold 30. The two
-sizes sit on either side of ``NeighborIndex._REBUILD_MAX``: the larger
-groups keep neighbour rows and repair them on every removal, while the
-groups of the 200-point stream keep no rows in either mode and derive
-their scores from their pairwise distances at each read. Each record is
-packed as its timestamp (int64), the four floats of the scoring chain
+The matrix is 5 streams x the 20 grid detectors x both ``refresh`` modes x
+``test_period`` 1 and 3. Windows are 0.15 of a stream's points, so the
+stream lengths put the sliding and reservoir groups on both sides of
+``NeighborIndex._MATRIX_SLOTS`` = 64 slots (landmark groups outgrow it on
+every stream). The periodic stream (seed 103, 200 points) and the drift,
+regime and noisy streams (seeds 100, 101 and 102, 400 points) give groups
+of 30 and 60 members: small stores, which keep no neighbour rows and
+derive their scores from the matrix of pairwise distances at each read.
+The second drift stream (seed 104, 500 points) gives groups of 75
+members in a 128-slot store, which builds its rows at its first read and
+repairs them on every insert and every removal. Each record is packed as
+its timestamp (int64), the four floats of the scoring chain
 (float64, bit for bit) and the flag, little-endian, in run order. Two
 checkouts whose records are bit-identical print the same line.
 
@@ -26,7 +29,7 @@ from refstream.detector import DETECTOR_GRID, StreamPoint, build_detector, named
 from refstream.synthetic import benchmark_stream
 
 STREAMS = (("drift", 100, 400), ("regime", 101, 400), ("noisy", 102, 400),
-           ("periodic", 103, 200))  # (kind, seed, points)
+           ("periodic", 103, 200), ("drift", 104, 500))  # (kind, seed, points)
 REFRESH_MODES = ("incremental", "exact")
 TEST_PERIODS = (1, 3)
 RECORD = struct.Struct("<qddddB")

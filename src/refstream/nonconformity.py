@@ -6,17 +6,15 @@ incrementally maintained k-means model, and SAX-word frequency. Each
 streaming structure is the reference group's only feature store: members
 are inserted with their feature and removed by id alone. Each keeps
 cached per-member leave-one-out scores that must match a from-scratch
-recomputation. A group of at most ``NeighborIndex._REBUILD_MAX`` members
-keeps no neighbour rows, in either mode: each read after a change takes
-the group's pairwise distances and derives the average k-NN distances,
-or the k-distances, LRDs and LOFs, in one batch. A larger group builds
-its rows in one batch at its first read and then repairs every insert
-and every removal incrementally; a removal that leaves at most
-``_REBUILD_MAX`` members drops the rows. A store of at most
-``NeighborIndex._MATRIX_SLOTS`` slots keeps the distance between every
-two members from its first read on, so those batches gather their
-distances instead of computing them. Inserting the point just scored
-reuses the distances the score computed. The k-means model keeps an
+recomputation. The k-NN index has two regimes, chosen by the size of its
+slot store alone. A store of at most ``NeighborIndex._MATRIX_SLOTS``
+slots keeps the distance between every two members and no neighbour
+rows: each read after a change gathers the group's distances from that
+matrix and derives the average k-NN distances, or the k-distances, LRDs
+and LOFs, in one batch. A larger store keeps rows instead: it builds them
+in one batch at its first read, then repairs them on every insert and
+every removal. Inserting the point just scored reuses the distances the
+score computed. The k-means model keeps an
 upper bound on its drift between exact checks and skips every check the
 bound shows cannot fire.
 
@@ -100,7 +98,19 @@ def batch_knn_scores(features, k: int) -> np.ndarray:
         raise DegenerateGroupError(f"need at least k+1={k + 1} entries, have {m}")
     dist = _pairwise(feats)
     np.fill_diagonal(dist, np.inf)
-    return np.partition(dist, k - 1, axis=1)[:, :k].mean(axis=1)
+    return _block_knn(dist, k)[1]
+
+
+def _block_knn(dist: np.ndarray, k: int):
+    """k-distances and average k-NN distances of a group from its distance block.
+
+    The block is square with an inf diagonal and has at least k + 1 rows.
+    The k smallest entries of each row, sorted, are the values of that
+    member's neighbour row in the order the row sums them, so the averages
+    are bitwise those the incremental index keeps.
+    """
+    near = np.sort(np.partition(dist, k - 1, axis=1)[:, :k], axis=1)
+    return near[:, -1], near.sum(axis=1) / k
 
 
 def _rowwise_take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -170,7 +180,8 @@ def cc_score(x, centroids) -> float:
 def lloyd_kmeans(features, n_clusters: int, rng: np.random.Generator, max_iter: int = 100):
     """Full k-means, seeded with distinct members drawn via the given RNG.
 
-    Returns (centroids, assignment). Runs to convergence or ``max_iter``
+    Returns (centroids, assignment, sums, counts), the last two per
+    cluster for the final assignment. Runs to convergence or ``max_iter``
     sweeps; an emptied cluster keeps its previous centroid. A centroid is
     its members' sum, taken in arrival order, over their count: for
     features of two or more columns, the arithmetic of
@@ -194,7 +205,7 @@ def lloyd_kmeans(features, n_clusters: int, rng: np.random.Generator, max_iter: 
         counts = np.bincount(assign, minlength=kk)
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled, None]
-    return centroids, assign
+    return centroids, assign, sums, counts
 
 
 # ---------------------------------------------------------------------------
@@ -274,53 +285,45 @@ class NeighborIndex(_SlotStore):
     """Exact k-NN bookkeeping over the group with slot-stable storage.
 
     mode="distance" caches each member's leave-one-out average k-NN
-    distance; mode="density" additionally maintains k-distances, LRDs and
-    LOFs, repairing only the entries a change can reach (the reverse
-    neighbourhood and everything that references it). Every repair is a
-    fixed number of array operations: boolean slot masks find the rows a
-    change reaches, and gathers over the (slot, k) neighbour table update
-    them together. Every built row holds the ``min(k, m - 1)`` nearest
-    other members of an m-member group, so a group of at most k members
-    has no full row and scores NaN, and in a larger one every row is full.
-    The occupied slots and their features are gathered once per change of
-    the group, so a group that stops changing scores queries without
-    gathering.
+    distance; mode="density" additionally keeps k-distances, LRDs and
+    LOFs. One test, ``_small``, picks how the group is kept: whether the
+    store has at most ``_MATRIX_SLOTS`` slots, its first block. A store
+    never shrinks, so it changes regime at most once, when it claims its
+    first slot past that block. The occupied slots and their features are
+    gathered once per change of the group, so a group that stops changing
+    scores queries without gathering.
 
-    Until the first read that needs rows (a ``cached_*`` view, or
-    ``member_scores`` or a density ``score`` over more than
-    ``_REBUILD_MAX`` members), ``insert`` and ``remove`` only claim or
-    release a slot. That read builds every row in blocks of
+    A small store keeps ``_D``, the distance between every two occupied
+    slots with an inf diagonal, and no neighbour rows. The first read
+    makes the matrix, sized to the highest slot in use rounded up to a
+    power of two (a 30-member group holds 32 x 32); each insert writes its
+    row and column; removals leave stale entries that no read reaches.
+    Every read (``member_scores``, a density ``score``, the ``cached_*``
+    views) comes from ``_batch``: the group's block gathered from the
+    matrix in arrival order, and from it every k-distance and average k-NN
+    distance (``_block_knn``) or every k-distance, LRD and LOF
+    (``_block_lof``), in one batch kept until the group changes. These are
+    bitwise the values rows would hold. At these sizes the batch costs
+    less than repairing rows: a sliding step (``score``, remove, insert,
+    ``member_scores``; k = 10; drift features) at 30, 49 and 60 members
+    took 30, 41 and 45 us from the matrix against 92, 146 and 103 us with
+    repaired rows in distance mode, and 74, 107 and 144 us against 162,
+    181 and 203 us in density mode (medians, one 2-core VM).
+
+    A large store keeps no matrix. Its first read that needs rows (any
+    read but a distance ``score``) builds every row in blocks of
     ``_BUILD_ROWS`` (bounding the temporary distance block) and derives
     the cached scores once; rows are ordered by (distance, arrival) either
     way, so the result is bitwise what incremental repair would have left.
-    After the build, inserts are repaired in place. A removal that leaves
-    at most ``_REBUILD_MAX`` members drops the rows instead, and a group
-    that small keeps none (below): in a small group most rows list the
-    leaving member, and one batch over the group costs less than
-    repairing them. Timing a sliding-window step (remove, insert,
-    ``member_scores``) both ways, the two break even near 50 members in
-    distance mode and 60 in density mode; an insert-only step repaired
-    cheaper than a build at every size tried (10 to 200 members), so
-    inserts never unbuild.
-
-    While the store has at most ``_MATRIX_SLOTS`` slots (its first block,
-    which covers every group that can unbuild), the first read also makes
-    ``_D``, the distance between every two occupied slots with an inf
-    diagonal, sized to the highest slot in use rounded up to a power of
-    two (a 30-member group holds 32 x 32). Each insert writes its row and
-    column; removals leave stale entries that no read reaches; the store
-    outgrowing its first block drops the matrix. Rebuilds and the
-    row-free reads below gather their distance blocks from it.
-
-    A group of at most ``_REBUILD_MAX`` members keeps no rows in either
-    mode; only the ``cached_*`` views build them. In distance mode
-    ``member_scores`` sorts the k smallest entries of each member's block
-    row, the same values in the same order as the row's distances, and
-    ``score`` never needs rows. In density mode ``member_scores`` derives
-    every k-distance, LRD and LOF in one batch from the block
-    (``_block_lof``, the arithmetic of the rows and their cascade) and
-    keeps them until the group changes; ``score`` reads the k-distances
-    and LRDs of its k nearest members from there.
+    From then on every insert and every removal repairs, in place, only
+    the entries the change can reach (the reverse neighbourhood and
+    everything that references it), and the rows are never dropped. Every
+    repair is a fixed number of array operations: boolean slot masks find
+    the rows a change reaches, and gathers over the (slot, k) neighbour
+    table update them together. Every row holds the ``min(k, m - 1)``
+    nearest other members of an m-member group, so a group of at most k
+    members has no full row and scores NaN, and in a larger one every row
+    is full.
 
     ``score`` keeps the query's bytes, the arrival count and the distances
     it computed. An insert of the same bytes with no arrival since reuses
@@ -334,7 +337,6 @@ class NeighborIndex(_SlotStore):
     _WHAT = "index"
     _SLOT_FILLS = {"_alive": False, "_nbr": -1, "_nbrd": np.inf, "_lrd": np.nan, "_score": np.nan}
     _BUILD_ROWS = 64
-    _REBUILD_MAX = 48
     _MATRIX_SLOTS = 64
 
     def __init__(self, k: int, mode: str = "distance"):
@@ -352,14 +354,17 @@ class NeighborIndex(_SlotStore):
         self._score = np.empty(0)
         self._act_cache: np.ndarray | None = None
         self._xact_cache: np.ndarray | None = None
-        # (rows, k-distances, LRDs, LOFs) of a small density group, arrival order
-        self._lof_cache: tuple | None = None
+        self._batch_cache: tuple | None = None  # what _batch returns
         self._col = np.arange(k)
         self._prev = np.maximum(self._col - 1, 0)  # source column of a shift right
         self._built = False
         self._D: np.ndarray | None = None  # slot-indexed pairwise distances, inf diagonal
         # (feature bytes, arrivals, active slots, distances) of the last score
         self._query: tuple | None = None
+
+    def _small(self) -> bool:
+        """Whether the store keeps the distance matrix rather than neighbour rows."""
+        return self._cap <= self._MATRIX_SLOTS
 
     def _active(self) -> np.ndarray:
         """Occupied slots, ascending."""
@@ -374,10 +379,10 @@ class NeighborIndex(_SlotStore):
         return self._xact_cache
 
     def _group_changed(self):
-        self._act_cache = self._xact_cache = self._lof_cache = None
+        self._act_cache = self._xact_cache = self._batch_cache = None
 
     def _ensure_built(self):
-        """Build every row and cached score, once, before the first read."""
+        """Build every row and cached score of a large store, once, before its first read."""
         if self._built:
             return
         self._built = True
@@ -401,14 +406,13 @@ class NeighborIndex(_SlotStore):
             return d if act.size == len(self) else d[self._alive.take(act)]
         return _distances(self._active_features(), x)
 
-    def _matrix(self) -> np.ndarray | None:
-        """The pairwise distance matrix, made at the first read of a small store.
+    def _matrix(self) -> np.ndarray:
+        """The pairwise distance matrix of a small store, made at its first read.
 
         Rows and columns are slots, up to the highest one in use rounded up
         to a power of two; entries of free slots are stale and never read.
-        A store of more than ``_MATRIX_SLOTS`` slots keeps none.
         """
-        if self._D is None and self._cap <= self._MATRIX_SLOTS and len(self):
+        if self._D is None:
             act = self._active()
             block = _pairwise(self._active_features())
             np.fill_diagonal(block, np.inf)
@@ -428,31 +432,33 @@ class NeighborIndex(_SlotStore):
         new[: len(D), : len(D)] = D
         return new
 
-    def _pair_block(self, slots: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Distances between two lists of members, inf where a slot meets itself."""
-        D = self._matrix()
-        if D is not None:
-            return D.take(slots, axis=0).take(cols, axis=1)
-        X = self._X
-        dist = _distances(X.take(slots, axis=0)[:, None, :], X.take(cols, axis=0)[None, :, :])
-        dist[slots[:, None] == cols] = np.inf
-        return dist
+    def _batch(self) -> tuple:
+        """Rows, k-distances, LRDs and scores of a small store, in arrival order.
 
-    def _small_lof(self) -> tuple:
-        """Rows, k-distances, LRDs and LOFs of a small density group, in arrival order.
-
-        Computed in one batch at the first read after a change of the
-        group; the group must have more than k members.
+        Computed in one batch over the matrix at the first read after a
+        change of the group. A group of at most k members gives inf
+        k-distances and NaN LRDs and scores, as rows would; distance mode
+        keeps no LRDs otherwise (None).
         """
-        if self._lof_cache is None:
-            rows = self._rows()
-            self._lof_cache = (rows, *_block_lof(self._pair_block(rows, rows), self.k))
-        return self._lof_cache
+        if self._batch_cache is None:
+            rows, k = self._rows(), self.k
+            if rows.size <= k:
+                nan = np.full(rows.size, np.nan)
+                self._batch_cache = (rows, np.full(rows.size, np.inf), nan, nan)
+            else:
+                block = self._matrix().take(rows, 0).take(rows, 1)
+                if self.mode == "density":
+                    self._batch_cache = (rows, *_block_lof(block, k))
+                else:
+                    kdist, scores = _block_knn(block, k)
+                    self._batch_cache = (rows, kdist, None, scores)
+        return self._batch_cache
 
     def _rebuild_rows(self, slots: np.ndarray):
         # columns in arrival order, so a stable sort breaks ties by arrival
-        cols = self._rows()
-        dist = self._pair_block(slots, cols)
+        cols, X = self._rows(), self._X
+        dist = _distances(X.take(slots, axis=0)[:, None, :], X.take(cols, axis=0)[None, :, :])
+        dist[slots[:, None] == cols] = np.inf
         take = min(self.k, cols.size - 1)
         order = np.argsort(dist, axis=1, kind="stable")[:, :take]
         self._nbr[slots, :take] = cols.take(order)
@@ -503,7 +509,7 @@ class NeighborIndex(_SlotStore):
         self._alive[slot] = True
         self._group_changed()
         if self._D is not None:
-            if self._cap > self._MATRIX_SLOTS:
+            if not self._small():  # the store outgrew its first block
                 self._D = None
             else:
                 if slot >= len(self._D):
@@ -540,8 +546,7 @@ class NeighborIndex(_SlotStore):
         self._group_changed()
         self._score[slot] = np.nan
         self._lrd[slot] = np.nan
-        if not self._built or len(self) <= self._REBUILD_MAX:
-            self._built = False
+        if not self._built:
             return
         act = self._active()
         hit = act[(self._nbr.take(act, axis=0) == slot).any(axis=1)]
@@ -561,9 +566,9 @@ class NeighborIndex(_SlotStore):
         self._query = (x.tobytes(), self._arrivals, act, d)  # for an insert of x
         if self.mode == "distance":
             return float(np.partition(d, k - 1)[:k].sum() / k)
-        if act.size <= self._REBUILD_MAX:
+        if self._small():
             # the distances in arrival order, so a stable sort breaks ties by age
-            rows, kdist, lrd, _ = self._small_lof()
+            rows, kdist, lrd, _ = self._batch()
             d = d.take(act.searchsorted(rows))
             nn = np.argsort(d, kind="stable")[:k]
             return _query_lof(d.take(nn), kdist.take(nn), lrd.take(nn), k)
@@ -577,17 +582,8 @@ class NeighborIndex(_SlotStore):
 
     def member_scores(self) -> np.ndarray:
         """Cached leave-one-out scores in arrival order."""
-        k = self.k
-        if len(self) <= self._REBUILD_MAX:
-            if len(self) <= k:
-                return np.full(len(self), np.nan)
-            if self.mode == "density":
-                return self._small_lof()[3]
-            # the k smallest of each row in ascending order: the values, and
-            # the order they are summed in, of the row's _nbrd prefix
-            rows = self._rows()
-            sub = self._pair_block(rows, rows)
-            return np.sort(np.partition(sub, k - 1, axis=1)[:, :k], axis=1).sum(axis=1) / k
+        if self._small():
+            return self._batch()[3]
         self._ensure_built()
         return self._score.take(self._rows())
 
@@ -599,10 +595,15 @@ class NeighborIndex(_SlotStore):
 
     # cache views used by the equivalence tests
     def cached_kdistances(self) -> np.ndarray:
+        if self._small():
+            return self._batch()[1]
         self._ensure_built()
         return self._nbrd[:, -1].take(self._rows())
 
     def cached_lrds(self) -> np.ndarray:
+        if self._small():
+            lrd = self._batch()[2]
+            return np.full(len(self), np.nan) if lrd is None else lrd
         self._ensure_built()
         return self._lrd.take(self._rows())
 
@@ -727,14 +728,9 @@ class ClusterModel(_SlotStore):
     def recluster(self):
         """Full k-means over the current members; resets the drift baseline."""
         rows = self._rows()
-        feats = self._X.take(rows, axis=0)
-        centroids, assign = lloyd_kmeans(feats, self.n_clusters, self.rng)
-        self.centroids = centroids
+        self.centroids, assign, self._sums, self._counts = lloyd_kmeans(
+            self._X.take(rows, axis=0), self.n_clusters, self.rng)
         self._assign[rows] = assign
-        # unbuffered, so each cluster sums its members in arrival order
-        self._sums = np.zeros_like(centroids)
-        np.add.at(self._sums, assign, feats)
-        self._counts = np.bincount(assign, minlength=len(centroids))
         self.recompute_count += 1
         self._baseline = self._mean_distance()
 

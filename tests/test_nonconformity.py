@@ -289,13 +289,13 @@ READS = ("score", "member_scores", "cached_kdistances", "cached_lrds")
 
 @contextlib.contextmanager
 def repair_every_removal():
-    """Rebuild limit 0: every removal from a built index repairs its rows.
+    """Matrix limit 0: every store is large, so it keeps rows and repairs them.
 
-    With the default limit most removals from the groups below (at most 60
-    members) unbuild the index instead, so the repair needs its own runs.
+    The groups below (at most 60 members) are otherwise small stores,
+    which keep no rows, so the rows and their repair need their own runs.
     """
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(NeighborIndex, "_REBUILD_MAX", 0)
+        monkeypatch.setattr(NeighborIndex, "_MATRIX_SLOTS", 0)
         yield
 
 
@@ -322,9 +322,13 @@ def check_churn(k, mode, ops):
                 assert idx.score(query) == lof_score(query, feats, k)
             else:
                 assert idx.score(query) == knn_score(query, feats, k)
-        # each row lists its min(k, m - 1) nearest members by (distance,
-        # arrival); the cached_* views build the rows, so read before looking
+        # a large store's rows list its min(k, m - 1) nearest members by
+        # (distance, arrival); the cached_* views build them, so read before
+        # looking. A small store keeps none.
         idx.cached_kdistances()
+        if idx._small():
+            assert not idx._built
+            continue
         n = min(k, len(alive) - 1)
         assert ((idx._nbr[idx._active()] != -1).sum(axis=1) == n).all()
         ident_of = {slot: ident for ident, slot in idx._slot_of.items()}
@@ -352,28 +356,31 @@ class TestNeighborIndexChurn:
 
 
 def index_state(idx, query):
-    """Everything a read exposes, plus the member rows; the first read builds them."""
+    """Everything a read exposes, plus a large store's member rows; the first read builds them."""
     try:
         score = idx.score(query)
     except DegenerateGroupError as exc:
         score = str(exc)
-    rows = idx._rows()
-    return {
+    state = {
         "score": score,
         "member_scores": idx.member_scores(),
         "cached_kdistances": idx.cached_kdistances(),
         "cached_lrds": idx.cached_lrds(),
-        "nbr": idx._nbr[rows],
-        "nbrd": idx._nbrd[rows],
     }
+    if not idx._small():
+        rows = idx._rows()
+        state.update(nbr=idx._nbr[rows], nbrd=idx._nbrd[rows])
+    return state
 
 
 def assert_same_state(lazy, eager, query):
     got, want = index_state(lazy, query), index_state(eager, query)
-    for name in ("member_scores", "cached_kdistances", "cached_lrds", "nbrd"):
+    for name in ("member_scores", "cached_kdistances", "cached_lrds"):
         assert np.array_equal(got[name], want[name], equal_nan=True), name
-    assert np.array_equal(got["nbr"], want["nbr"])
     assert got["score"] == want["score"]
+    if "nbr" in got and "nbr" in want:
+        assert np.array_equal(got["nbrd"], want["nbrd"])
+        assert np.array_equal(got["nbr"], want["nbr"])
 
 
 def check_first_read_build(k, mode, first_read, ops):
@@ -402,16 +409,13 @@ def check_first_read_build(k, mode, first_read, ops):
             failed = True
     else:
         getattr(lazy, first_read)()
-    # the cached_* views build the rows; score and member_scores build
-    # them only over more than _REBUILD_MAX members, a distance-mode score
-    # never does, and a score refused for too few members builds nothing
-    needs_rows = first_read.startswith("cached_") or (
-        len(lazy) > NeighborIndex._REBUILD_MAX and not failed
-        and (mode == "density" or first_read == "member_scores"))
+    # only a large store builds rows; every read does so but a
+    # distance-mode score, and a score refused for too few members
+    needs_rows = not lazy._small() and not failed and (
+        mode == "density" or first_read != "score")
     assert lazy._built == needs_rows
     assert_same_state(lazy, eager, (0.5, 1.0))
-    # after the build an insert is repaired, and so is a removal unless it
-    # leaves at most _REBUILD_MAX members, which unbuilds the index
+    # after the build every insert and every removal is repaired
     for idx in (lazy, eager):
         idx.insert(next_id, (0.5, 0.5))
         if alive:
@@ -456,33 +460,11 @@ class TestNeighborIndexFirstReadBuild:
             check_build_spanning_several_blocks(mode)
 
 
-class TestNeighborIndexRemoval:
-    @pytest.mark.parametrize("mode", ["distance", "density"])
-    @pytest.mark.parametrize("left_over_limit", [0, 1])
-    def test_small_group_rebuilds_at_next_read(self, mode, left_over_limit):
-        # a removal that leaves at most _REBUILD_MAX members unbuilds the
-        # index, one that leaves more repairs it; either way the state is
-        # bitwise that of a twin run with the limit at 0. Rounded features
-        # make distance ties.
-        m = NeighborIndex._REBUILD_MAX + left_over_limit + 1
-        feats = np.random.default_rng(15).normal(size=(m, 2)).round(1)
-        idx, repaired = NeighborIndex(3, mode=mode), NeighborIndex(3, mode=mode)
-        repaired._REBUILD_MAX = 0
-        for group in (idx, repaired):
-            for ident, feature in enumerate(feats):
-                group.insert(ident, feature)
-            group.member_scores()
-            group.remove(m // 2)
-        assert idx._built == bool(left_over_limit)
-        assert repaired._built
-        assert_same_state(idx, repaired, (0.1, -0.2))
-
-
 # a coarse 2-D grid: duplicate members, and ties at every neighbour rank
 COARSE_POINT = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda p: (p[0] / 4, p[1] / 4))
 SMALL_GROUPS = st.integers(1, 6).flatmap(lambda k: st.tuples(
     st.just(k),
-    st.lists(COARSE_POINT, min_size=k + 1, max_size=NeighborIndex._REBUILD_MAX),
+    st.lists(COARSE_POINT, min_size=k + 1, max_size=NeighborIndex._MATRIX_SLOTS),
     st.lists(COARSE_POINT, min_size=1, max_size=3),
 ))
 
@@ -492,12 +474,12 @@ class TestSmallGroupWithoutRows:
            drop=st.integers(2, 5))
     @settings(max_examples=150, deadline=None)
     def test_row_free_reads_equal_built_rows_and_batch(self, group, mode, drop):
-        # idx reads a group of at most _REBUILD_MAX members without rows;
-        # the twin, its limit at 0, builds and repairs them; both then see
-        # every drop-th member removed and the queries inserted
+        # idx, a small store, reads its group without rows; the twin, its
+        # matrix limit at 0, is a large store that builds and repairs them;
+        # both then see every drop-th member removed and the queries inserted
         k, points, queries = group
         idx, twin = NeighborIndex(k, mode=mode), NeighborIndex(k, mode=mode)
-        twin._REBUILD_MAX = 0
+        twin._MATRIX_SLOTS = 0
         for index in (idx, twin):
             for ident, p in enumerate(points):
                 index.insert(ident, p)
@@ -590,15 +572,34 @@ class TestNeighborIndexMatrix:
 
     @pytest.mark.parametrize("mode", ["distance", "density"])
     def test_matrix_dropped_past_its_slot_limit(self, mode):
+        # the insert that claims the 65th slot drops the matrix; the next
+        # read builds rows, which every later change repairs and none drops,
+        # down to k members and below and back up. Rounded features make ties.
         idx = NeighborIndex(3, mode=mode)
         rng = np.random.default_rng(17)
         for ident in range(NeighborIndex._MATRIX_SLOTS):
-            idx.insert(ident, rng.normal(size=2))
+            idx.insert(ident, rng.normal(size=2).round(1))
         idx.member_scores()
-        assert idx._D.shape == (64, 64)
-        idx.insert(99, rng.normal(size=2))
+        assert idx._D.shape == (64, 64) and not idx._built
+        idx.insert(99, rng.normal(size=2).round(1))
         assert idx._D is None
-        assert np.array_equal(idx.member_scores(), idx.recompute_member_scores())
+
+        def check():
+            got = idx.member_scores()
+            assert idx._built and idx._D is None
+            if len(idx) > idx.k:
+                assert np.array_equal(got, idx.recompute_member_scores())
+            else:
+                assert np.isnan(got).all()
+
+        check()
+        for ident in [99, *range(63)]:
+            idx.remove(ident)
+            check()
+        assert len(idx) == 1
+        for ident in range(100, 110):
+            idx.insert(ident, rng.normal(size=2).round(1))
+            check()
 
     def test_matrix_sized_to_the_highest_slot(self):
         idx = NeighborIndex(3)
@@ -686,10 +687,16 @@ class TestLloydKmeans:
     def test_equals_per_cluster_loop(self, base, picks, n_clusters, seed):
         # repeated picks of a few points make duplicates and tied distances
         feats = np.array([base[i % len(base)] for i in picks])
-        got = lloyd_kmeans(feats, n_clusters, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        centroids, assign, sums, counts = lloyd_kmeans(feats, n_clusters, rng)
         want = loop_lloyd_kmeans(feats, n_clusters, np.random.default_rng(seed))
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(centroids, want[0])
+        assert np.array_equal(assign, want[1])
+        # the sums and counts of the final assignment, summed in arrival order
+        want_sums = np.zeros_like(centroids)
+        np.add.at(want_sums, assign, feats)
+        assert np.array_equal(sums, want_sums)
+        assert np.array_equal(counts, np.bincount(assign, minlength=len(centroids)))
 
     def test_emptied_cluster_keeps_its_centroid(self):
         # distinct seeds each hold a member after the first sweep, so only a
@@ -750,7 +757,7 @@ class TestClusterModel:
         feats = model.member_features()
         rng_copy = copy.deepcopy(model.rng)
         model.recluster()
-        want, _ = lloyd_kmeans(feats, 3, rng_copy)
+        want = lloyd_kmeans(feats, 3, rng_copy)[0]
         np.testing.assert_allclose(model.centroids, want, atol=1e-12)
 
     def test_counts_mirror_membership(self):
