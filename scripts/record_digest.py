@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
 """Print the record count and one SHA-256 over a fixed matrix of detector runs.
 
-The matrix is 5 streams x the 20 grid detectors x both ``refresh`` modes x
-``test_period`` 1 and 3. Windows are 0.15 of a stream's points, so the
-stream lengths put the sliding and reservoir groups on both sides of
-``NeighborIndex._MATRIX_SLOTS`` = 64 slots (landmark groups outgrow it on
-every stream). The periodic stream (seed 103, 200 points) and the drift,
-regime and noisy streams (seeds 100, 101 and 102, 400 points) give groups
-of 30 and 60 members: small stores, which keep no neighbour rows and
-derive their scores from the matrix of pairwise distances at each read.
-The second drift stream (seed 104, 500 points) gives groups of 75
-members in a 128-slot store, which builds its rows at its first read and
-repairs them on every insert and every removal. Each record is packed as
-its timestamp (int64), the four floats of the scoring chain
-(float64, bit for bit) and the flag, little-endian, in run order. Two
-checkouts whose records are bit-identical print the same line.
+The matrix is 5 streams x the 20 grid detectors x both ``refresh`` modes
+x ``test_period`` 1 and 3, plus one long-window row. Windows are 0.15 of
+a stream's points, so the stream lengths put the sliding and reservoir
+groups on both sides of ``NeighborIndex._MATRIX_SLOTS`` = 64 slots
+(landmark groups outgrow it on every stream). The periodic stream (seed
+103, 200 points) and the drift, regime and noisy streams (seeds 100, 101
+and 102, 400 points) give groups of 30 and 60 members: small stores,
+which keep no neighbour rows and derive their scores from the matrix of
+pairwise distances at each read. The second drift stream (seed 104, 500
+points) gives groups of 75 members in a 128-slot store, which builds its
+rows at its first read and repairs them on every insert and every
+removal. The long-window row runs the 20 detectors once each (default
+refresh and test period) on that stream with ``rep_window`` = 136 and
+``probation_len`` = 300: windows past the 128 values at which numpy's
+pairwise summation splits in two, and SAX segments of 34 values, so the
+window statistics are pinned beyond the short windows the grid uses.
+Each record is packed as its timestamp (int64), the four floats of the
+scoring chain (float64, bit for bit) and the flag, little-endian, in run
+order. Two checkouts whose records are bit-identical print the same line.
 
 Usage:
     PYTHONPATH=src python scripts/record_digest.py
@@ -30,25 +35,37 @@ from refstream.synthetic import benchmark_stream
 
 STREAMS = (("drift", 100, 400), ("regime", 101, 400), ("noisy", 102, 400),
            ("periodic", 103, 200), ("drift", 104, 500))  # (kind, seed, points)
+LONG_WINDOWS = ("drift", 104, 500, {"rep_window": 136, "probation_len": 300})
 REFRESH_MODES = ("incremental", "exact")
 TEST_PERIODS = (1, 3)
 RECORD = struct.Struct("<qddddB")
 
 
-def main() -> int:
-    digest = hashlib.sha256()
-    count = 0
-    for kind, seed, n_points in STREAMS:
-        values, _ = benchmark_stream(n_points, seed=seed, kind=kind)
-        points = [StreamPoint(i + 1, float(v)) for i, v in enumerate(values)]
+def runs():
+    """Each run's stream (kind, seed, points) and detector config, in digest order."""
+    for stream in STREAMS:
         for name in DETECTOR_GRID:
             for refresh in REFRESH_MODES:
                 for test_period in TEST_PERIODS:
-                    config = named_config(name, refresh=refresh, test_period=test_period)
-                    for r in build_detector(config, n_points=n_points).run(points):
-                        digest.update(RECORD.pack(r.timestamp, r.nonconformity, r.p_value,
-                                                  r.ks_significance, r.final_score, r.flagged))
-                        count += 1
+                    yield stream, named_config(name, refresh=refresh, test_period=test_period)
+    *stream, overrides = LONG_WINDOWS
+    for name in DETECTOR_GRID:
+        yield tuple(stream), named_config(name, **overrides)
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    count = 0
+    streams = {}
+    for (kind, seed, n_points), config in runs():
+        if (kind, seed, n_points) not in streams:
+            values, _ = benchmark_stream(n_points, seed=seed, kind=kind)
+            streams[kind, seed, n_points] = [StreamPoint(i + 1, float(v))
+                                             for i, v in enumerate(values)]
+        for r in build_detector(config, n_points=n_points).run(streams[kind, seed, n_points]):
+            digest.update(RECORD.pack(r.timestamp, r.nonconformity, r.p_value,
+                                      r.ks_significance, r.final_score, r.flagged))
+            count += 1
     print(f"{count} records  sha256 {digest.hexdigest()}")
     return 0
 

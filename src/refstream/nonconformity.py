@@ -24,13 +24,21 @@ therefore written ``a.take(idx, axis=0)`` rather than ``a[idx]``, and a
 row-wise gather as one flat ``take``: the same values at a quarter to a
 half of the cost for 30 to 110 members. Scatters stay as assignments.
 
-Every Euclidean distance in this module, batch or incremental, comes from
-one kernel, ``_squared_distances`` (``_distances`` takes its square root;
-k-means assigns by the squares). It rejects a query whose width differs
-from the features', then subtracts, squares and adds column by column.
-For the two-column (mean, std) features the pipeline makes this is the
-same sum numpy's reduction over that axis computes, without the cost of
-broadcasting over a length-2 inner axis or of the reduction itself.
+Every Euclidean distance in this module, batch or incremental, has the
+arithmetic of one kernel, ``_squared_distances`` (``_distances`` takes its
+square root; k-means assigns by the squares). It rejects a query whose
+width differs from the features', then subtracts, squares and adds column
+by column; a single query's coordinates enter as Python floats, which
+spares a numpy scalar per column. For the two-column (mean, std) features
+the pipeline makes this is the same sum numpy's reduction over that axis
+computes, without the cost of broadcasting over a length-2 inner axis or
+of the reduction itself. The one query kernel that leaves numpy is
+``_nearest``, the centroid nearest to one point (``cc_score`` and
+``ClusterModel.insert``): over a handful of centroids, numpy's per-call
+cost exceeds the arithmetic, so it makes the same subtractions, squares,
+column-order sums and square roots in Python floats, each one IEEE
+operation, and picks the minimum as ``min`` and ``argmin`` do, bit for
+bit.
 
 Neighbour ordering is deterministic everywhere: ties in distance are
 broken by arrival. The batch functions see members in arrival order and
@@ -64,11 +72,12 @@ def _squared_distances(features: np.ndarray, x: np.ndarray) -> np.ndarray:
     width = features.shape[-1]
     if x.shape[-1] != width:
         raise ValueError(f"query has {x.shape[-1]} columns, features have {width}")
-    d = features[..., 0] - x[..., 0]
+    xs = x.tolist() if x.ndim == 1 else [x[..., j] for j in range(width)]
+    d = features[..., 0] - xs[0]
     sq = d * d
     for j in range(1, width):
-        d = features[..., j] - x[..., j]
-        sq = sq + d * d
+        d = features[..., j] - xs[j]
+        sq += d * d
     return sq
 
 
@@ -169,12 +178,40 @@ def lof_score(x, features, k: int) -> float:
     return _query_lof(d.take(nn), kdist.take(nn), lrd.take(nn), k)
 
 
+def _nearest(centroids: np.ndarray, x: np.ndarray) -> tuple[int, float]:
+    """Index and distance of the centroid nearest to the 1-D query x.
+
+    Bitwise ``_distances(centroids, x)``'s ``argmin()`` and ``min()``: the
+    same width check, subtractions, squares and column-order sums in Python
+    floats, the first minimal index, and, as numpy does, the first NaN if
+    one occurs.
+    """
+    width = centroids.shape[-1]
+    if x.shape[-1] != width:
+        raise ValueError(f"query has {x.shape[-1]} columns, features have {width}")
+    xs = x.tolist()
+    x0, rest = xs[0], range(1, len(xs))
+    best, dist = 0, math.inf
+    for i, c in enumerate(centroids.tolist()):
+        d = c[0] - x0
+        sq = d * d
+        for j in rest:
+            d = c[j] - xs[j]
+            sq += d * d
+        dc = math.sqrt(sq)
+        if dc != dc:
+            return i, dc
+        if dc < dist:
+            best, dist = i, dc
+    return best, dist
+
+
 def cc_score(x, centroids) -> float:
     """Distance from x to the nearest cluster centroid."""
     cents = np.asarray(centroids, dtype=float)
     if cents.size == 0:
         raise DegenerateGroupError("cluster model has no centroids")
-    return float(_distances(cents, np.asarray(x, dtype=float)).min())
+    return _nearest(cents, np.asarray(x, dtype=float))[1]
 
 
 def lloyd_kmeans(features, n_clusters: int, rng: np.random.Generator, max_iter: int = 100):
@@ -544,8 +581,6 @@ class NeighborIndex(_SlotStore):
         slot = self._release(ident)
         self._alive[slot] = False
         self._group_changed()
-        self._score[slot] = np.nan
-        self._lrd[slot] = np.nan
         if not self._built:
             return
         act = self._active()
@@ -672,7 +707,7 @@ class ClusterModel(_SlotStore):
         if len(self.centroids) < self.n_clusters and self._baseline is None:
             self._assign[slot] = self._open_cluster(x)  # at its centroid: the bound holds
         else:
-            c = int(_distances(self.centroids, x).argmin())
+            c = _nearest(self.centroids, x)[0]
             self._assign[slot] = c
             n_old = int(self._counts[c])
             self._sums[c] += x

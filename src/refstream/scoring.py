@@ -10,6 +10,7 @@ log-inversion, running-moment normalisation and Gaussian scaling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -123,7 +124,10 @@ def unify(significance: float, state: UnifierState) -> float:
 
 def _finite_scores(reference_scores) -> np.ndarray:
     ref = np.asarray(reference_scores, dtype=float)
-    if not np.isfinite(ref).all():
+    # inf and NaN propagate through a sum, so a finite sum proves every
+    # entry finite in one call; only a non-finite one (which may be an
+    # overflow of finite entries) needs the elementwise test
+    if not math.isfinite(np.add.reduce(ref)) and not np.isfinite(ref).all():
         raise DegenerateGroupError("reference scores are not finite")
     return ref
 
@@ -138,7 +142,24 @@ class AnomalyScorer:
 
     The window is kept twice: in arrival order in ``window``, and sorted in
     a float64 array that each step updates by one removal and one insertion
-    instead of re-sorting, so the K-S statistic needs no sort.
+    instead of re-sorting, so the K-S statistic needs no sort. That array
+    is the middle third, ``_sorted``, of one buffer of length 3n laid out
+    as ``[upper steps | window ascending | lower steps]``. For a full
+    window, subtracting the buffer's last 2n entries from its first 2n
+    gives ``upper - sorted`` followed by ``sorted - lower`` in one numpy
+    call into a preallocated array, and ``argmax`` finds their maximum (a
+    method call, which costs less than the ufunc reduction at these
+    sizes). Each entry is the same single subtraction ``_sup_distance``
+    makes and the maximum is exact, so the statistic is bitwise its.
+
+    The p-value counts the reference scores at least a_t. The first step
+    after the reference changes counts them in one numpy pass. A reference
+    still in force at the next step is sorted once, into a list, and from
+    then on the count is its size less ``bisect_left``: the same integer,
+    since the reference holds no NaN, and a NaN a_t, which no score is at
+    least, keeps the numpy count. ``sw`` and ``lw`` change the reference
+    at every step and so always count; ``fr``, and the reservoirs between
+    admissions, bisect.
     """
 
     def __init__(self, ks_window: int, test_period: int = 1):
@@ -149,10 +170,16 @@ class AnomalyScorer:
         self.ks_window = ks_window
         self.test_period = test_period
         self.window: deque[float] = deque(maxlen=ks_window)
-        self._sorted = np.empty(ks_window)  # the window's values, ascending, in [:len(window)]
-        self._upper, self._lower = _ecdf_steps(ks_window)
+        n = ks_window
+        buf = np.empty(3 * n)
+        buf[:n], buf[2 * n :] = _ecdf_steps(n)
+        self._sorted = buf[n : 2 * n]  # the window's values, ascending, in [:len(window)]
+        self._hi, self._lo = buf[: 2 * n], buf[n:]
+        self._gaps = np.empty(2 * n)
         self.unifier = UnifierState()
         self._reference: np.ndarray | None = None
+        self._ranked: list | None = None  # the reference ascending, from its second step
+        self._unused = True  # no step has used the reference yet
         self._steps = 0
         self._held_significance = 1.0
         self._bootstrapped = False
@@ -167,7 +194,7 @@ class AnomalyScorer:
         self.window.extend(loo_p_values(ref).tolist())
         n = len(self.window)
         self._sorted[:n] = np.sort(np.array(self.window))
-        self._reference = ref
+        self._set_reference(ref)
         self._bootstrapped = True
 
     def set_reference_scores(self, reference_scores):
@@ -178,7 +205,12 @@ class AnomalyScorer:
         ref = _finite_scores(reference_scores)
         if ref.size == 0:
             raise DegenerateGroupError("reference score set is empty")
+        self._set_reference(ref)
+
+    def _set_reference(self, ref: np.ndarray):
         self._reference = ref
+        self._ranked = None
+        self._unused = True
 
     def _slide(self, pv: float):
         """Append pv to the window, evicting the oldest value once it is full.
@@ -209,13 +241,20 @@ class AnomalyScorer:
         """Score one nonconformity value; returns (p_value, significance, final)."""
         if not self._bootstrapped:
             raise DegenerateGroupError("scorer used before bootstrap")
-        ref = self._reference
-        pv = np.count_nonzero(ref >= a_t) / ref.size  # p_value without its wrapper
+        ref, ranked = self._reference, self._ranked
+        if ranked is None and not self._unused:  # in force for a second step: sort it once
+            ranked = self._ranked = np.sort(ref).tolist()
+        self._unused = False
+        if ranked is None or a_t != a_t:  # no score is at least NaN; bisect would count all
+            pv = np.count_nonzero(ref >= a_t) / ref.size  # p_value without its wrapper
+        else:
+            pv = (ref.size - bisect_left(ranked, a_t)) / ref.size
         self._slide(pv)
         if self._steps % self.test_period == 0:
             n = len(self.window)
             if n == self.ks_window:
-                d = _sup_distance(self._sorted, self._upper, self._lower)
+                gaps = np.subtract(self._hi, self._lo, out=self._gaps)
+                d = max(gaps.item(gaps.argmax()), 0.0)
             else:
                 d = _sup_distance(self._sorted[:n], *_ecdf_steps(n))
             self._held_significance = ks_significance(d, n)

@@ -15,6 +15,7 @@ from refstream.nonconformity import (
     NeighborIndex,
     _batch_lof,
     _distances,
+    _nearest,
     batch_knn_scores,
     batch_lof_scores,
     cc_score,
@@ -709,6 +710,11 @@ class TestLloydKmeans:
         assert np.array_equal(got[1], want[1])
 
 
+# a coarse grid with both zeros makes duplicate centroids, tied distances
+# and signed-zero differences
+COARSE = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
 class TestClusterScore:
     def test_single_centroid(self):
         assert cc_score((3.0, 4.0), [(0.0, 0.0)]) == pytest.approx(5.0)
@@ -722,6 +728,30 @@ class TestClusterScore:
     def test_empty_model_rejected(self):
         with pytest.raises(DegenerateGroupError):
             cc_score((0.0, 0.0), np.empty((0, 2)))
+
+    @given(st.integers(1, 3).flatmap(lambda w: st.tuples(
+        st.lists(st.lists(COARSE, min_size=w, max_size=w), min_size=1, max_size=8),
+        st.lists(COARSE, min_size=w, max_size=w))))
+    @settings(max_examples=300)
+    def test_bitwise_numpy_min_and_argmin(self, case):
+        centroids, x = np.array(case[0]), np.array(case[1])
+        want = _distances(centroids, x)
+        assert np.float64(cc_score(x, centroids)).tobytes() == want.min().tobytes()
+        assert _nearest(centroids, x) == (want.argmin(), want.min())
+
+    def test_first_nan_distance_wins_as_in_numpy(self):
+        # inf - inf makes a NaN distance; numpy's min and argmin stop at the
+        # first one, and an all-inf table gives index 0
+        x = np.array([math.inf, 0.0])
+        for rows in ([[1.0, 0.0], [math.inf, 0.0], [math.nan, 0.0]],
+                     [[math.nan, 0.0], [1.0, 0.0]], [[2.0, 2.0], [math.inf, 1.0]],
+                     [[1.0, 0.0], [2.0, 0.0]]):
+            centroids = np.array(rows)
+            with np.errstate(invalid="ignore"):
+                want = _distances(centroids, x)
+            got = _nearest(centroids, x)
+            assert got[0] == want.argmin()
+            assert np.float64(got[1]).tobytes() == want.min().tobytes()
 
 
 class TestClusterModel:
@@ -772,6 +802,19 @@ class TestClusterModel:
                 model.remove(victim)
                 del alive[victim]
             assert model._counts.sum() == len(alive)
+
+    @given(st.lists(st.tuples(COARSE, COARSE),
+                    min_size=4, max_size=30))
+    @settings(max_examples=200)
+    def test_insert_joins_numpy_argmin(self, pts):
+        # drift checks are switched off, so no recluster rewrites the choice
+        model = ClusterModel(3, 0.25, np.random.default_rng(8))
+        model._check_drift = lambda: None
+        for i, p in enumerate(pts):
+            x = np.array(p)
+            want = _distances(model.centroids, x).argmin() if len(model.centroids) == 3 else i
+            model.insert(i, x)
+            assert model._assign[model._slot_of[i]] == want
 
     def test_repeated_id_rejected(self):
         model = ClusterModel(2, 0.25, np.random.default_rng(7))

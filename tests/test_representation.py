@@ -10,6 +10,7 @@ from refstream.representation import (
     MeanStdFeatures,
     SaxFeatures,
     _ndtri,
+    _pairwise_sum,
     breakpoints,
     meanstd_transform,
     paa,
@@ -170,13 +171,18 @@ class TestSax:
 # --- streaming features against numpy's own reductions --------------------------
 
 # runs of repeated values give constant windows, including ones whose float
-# mean is inexact
-RUNS = st.lists(st.tuples(st.floats(-1e3, 1e3), st.integers(1, 12)), min_size=1, max_size=12)
+# mean is inexact, and windows of zeros of either sign
+RUNS = st.lists(st.tuples(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+                          st.integers(1, 12)), min_size=1, max_size=12)
 
 
 def last_windows(runs, window):
-    """Each value of the runs, with the last `window` values up to it (None until it fills)."""
+    """Each value of the runs, with the last `window` values up to it (None until it fills).
+
+    The runs repeat, whole, until they give at least `window` + 8 values.
+    """
     values = [v for v, repeat in runs for _ in range(repeat)]
+    values *= -(-(window + 8) // len(values))
     for i in range(len(values)):
         yield values[i], (np.array(values[i + 1 - window : i + 1]) if i + 1 >= window else None)
 
@@ -189,9 +195,46 @@ def numpy_sax(x, segments, alphabet_size):
     return symbolize(z.reshape(segments, -1).mean(axis=1), alphabet_size)
 
 
+# mixed magnitudes, and both zeros so that runs of them occur
+SUMMANDS = st.one_of(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 300)),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+class TestPairwiseSum:
+    """The window kernel against numpy's float64 ``add.reduce``, byte for byte."""
+
+    @given(st.lists(st.tuples(SUMMANDS, st.integers(1, 40)), min_size=1, max_size=40),
+           st.integers(1, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_numpy_add_reduce(self, runs, n):
+        values = [v for v, repeat in runs for _ in range(repeat)]
+        values = (values * -(-n // len(values)))[:n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.add.reduce(np.array(values))
+        assert np.float64(_pairwise_sum(values, 0, n)).tobytes() == want.tobytes()
+
+    def test_every_length_of_negative_zeros_and_of_normals(self):
+        # numpy adds the sum to the identity +0.0, so all -0.0 sums to +0.0
+        rng = np.random.default_rng(11)
+        for n in range(1, 301):
+            for x in (np.full(n, -0.0), rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)):
+                got = _pairwise_sum(x.tolist(), 0, n)
+                assert np.float64(got).tobytes() == np.add.reduce(x).tobytes(), n
+
+    def test_offset_sums_the_slice(self):
+        x = np.random.default_rng(12).normal(size=300)
+        for lo, n in ((5, 17), (40, 129), (1, 257)):
+            got = _pairwise_sum(x.tolist(), lo, n)
+            assert np.float64(got).tobytes() == np.add.reduce(x[lo : lo + n]).tobytes()
+
+
 class TestStreamingMatchesNumpy:
-    # windows on both sides of numpy's 8-element pairwise-summation block
-    @given(RUNS, st.sampled_from([1, 4, 7, 8, 10, 16]))
+    # windows on both sides of numpy's 8-element pairwise-summation block and
+    # of its 128-element split; features compare as bytes, so a -0.0 in
+    # place of 0.0 fails
+    @given(RUNS, st.sampled_from([1, 4, 7, 8, 9, 10, 16, 17, 127, 128, 129, 136, 257]))
     @settings(deadline=None)
     def test_meanstd_push_is_bitwise_numpy(self, runs, window):
         feats = MeanStdFeatures(window)
@@ -200,9 +243,11 @@ class TestStreamingMatchesNumpy:
             if x is None:
                 assert out is None
             else:
-                assert np.array_equal(out, [x.mean(), x.std()])
+                assert out.tobytes() == np.array([x.mean(), x.std()]).tobytes()
+                assert meanstd_transform(x).tobytes() == out.tobytes()
 
-    @given(RUNS, st.sampled_from([(1, 1), (4, 2), (7, 7), (8, 4), (10, 5), (16, 4)]),
+    @given(RUNS, st.sampled_from([(1, 1), (4, 2), (7, 7), (8, 4), (10, 5), (16, 4),
+                                  (128, 4), (136, 8), (264, 8)]),
            st.integers(2, 8))
     @settings(deadline=None)
     def test_sax_push_is_bitwise_numpy(self, runs, shape, alphabet_size):
@@ -213,5 +258,6 @@ class TestStreamingMatchesNumpy:
             if x is None:
                 assert word is None
             else:
-                assert np.array_equal(paa(x, segments), x.reshape(segments, -1).mean(axis=1))
+                assert paa(x, segments).tobytes() == x.reshape(segments, -1).mean(axis=1).tobytes()
                 assert word == numpy_sax(x, segments, alphabet_size)
+                assert sax_transform(x, segments, alphabet_size) == word

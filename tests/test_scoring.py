@@ -201,10 +201,21 @@ class TestAnomalyScorer:
         for bad in ([1.0, math.nan, 3.0], [1.0, math.inf], [-math.inf, 2.0]):
             with pytest.raises(DegenerateGroupError, match="not finite"):
                 scorer.set_reference_scores(bad)
-        with pytest.raises(DegenerateGroupError, match="not finite"):
-            AnomalyScorer(8).bootstrap([1.0, math.nan, 3.0])
+            with pytest.raises(DegenerateGroupError, match="not finite"):
+                AnomalyScorer(8).bootstrap(bad)
         # a rejected set leaves the previous reference in force
         assert scorer.step(2.5)[0] == pytest.approx(0.5)
+
+    def test_finite_reference_whose_sum_overflows_accepted(self):
+        # the quick finite-sum test fails here, so the elementwise one decides
+        big = [1e308, 1e308, 1.0]
+        fresh = AnomalyScorer(8)
+        scorer = self._scorer([1.0, 2.0, 3.0, 4.0])
+        with np.errstate(over="ignore"):
+            fresh.bootstrap(big)
+            scorer.set_reference_scores(big)
+        assert fresh.step(1e308)[0] == 2 / 3
+        assert scorer.step(2.0)[0] == 2 / 3
 
     def test_bootstrap_seeds_window_with_loo_p_values(self):
         refs = [1.0, 2.0, 3.0, 4.0]
@@ -278,3 +289,21 @@ class TestAnomalyScorer:
             # the slide keeps the buffer sorted, also with ties at the
             # evicted and the inserted value
             assert scorer._sorted[: len(window)].tolist() == sorted(window)
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("step"), st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, math.nan])),
+        st.tuples(st.just("set"), st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]),
+                                           min_size=1, max_size=12))), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_p_values_count_the_reference_in_force(self, ops):
+        # a reference kept for several steps is bisected, a fresh one is
+        # counted; both must equal the count of scores at least a_t, with
+        # ties, both zeros and NaN scores
+        refs = [0.0, 0.25, 0.5, 0.5, 1.0]
+        scorer = self._scorer(refs, ks_window=6)
+        for op, arg in ops:
+            if op == "set":
+                scorer.set_reference_scores(arg)
+                refs = arg
+            else:
+                assert scorer.step(arg)[0] == p_value(arg, refs)
