@@ -29,7 +29,7 @@ from .learning import (
     UniformReservoir,
 )
 from .nonconformity import ClusterModel, FrequencyMeasure, NeighborIndex
-from .representation import MeanStdFeatures, SaxFeatures
+from .representation import SAX_ALPHABET, MeanStdFeatures, SaxFeatures
 from .scoring import AnomalyScorer
 
 REPRESENTATIONS = ("meanstd", "sax")
@@ -104,8 +104,10 @@ class DetectorConfig:
         if self.rep_window < 1:
             raise ConfigError(f"rep_window must be >= 1, got {self.rep_window}")
         if self.representation == "sax":
-            if self.sax_alphabet < 2:
-                raise ConfigError(f"sax_alphabet must be >= 2, got {self.sax_alphabet}")
+            if not 2 <= self.sax_alphabet <= len(SAX_ALPHABET):
+                raise ConfigError(
+                    f"sax_alphabet must be in [2, {len(SAX_ALPHABET)}], got {self.sax_alphabet}"
+                )
             if self.sax_segments < 1 or self.rep_window % self.sax_segments:
                 raise ConfigError(
                     f"rep_window {self.rep_window} must be divisible by sax_segments {self.sax_segments}"

@@ -19,7 +19,7 @@ import concurrent.futures
 import configparser
 import json
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -249,6 +249,12 @@ def load_manifest(path) -> RunManifest:
         cand = Path(p.strip())
         return cand if cand.is_absolute() else base / cand
 
+    def _number(getter, key: str, fallback):
+        try:
+            return getter(key, fallback=fallback)
+        except ValueError:
+            raise ConfigError(f"{path}: invalid value {sec[key]!r} for {key}") from None
+
     datasets = [_resolve(tok) for tok in sec.get("datasets", "").split(",") if tok.strip()]
     detectors = expand_detectors(sec.get("detectors", "all-20"))
     # a job's score file is named <dataset stem>__<detector>, so a repeat would overwrite one
@@ -268,12 +274,16 @@ def load_manifest(path) -> RunManifest:
     )
     groups = dict(parser["groups"]) if parser.has_section("groups") else {}
     overrides: dict[str, dict] = {}
+    config_fields = {f.name for f in fields(DetectorConfig)}
     for section in parser.sections():
         if section in ("manifest", "groups"):
             continue
         key = section.lower()
         if key != "defaults" and key not in DETECTOR_GRID:
             raise ConfigError(f"{path}: unknown section [{section}]")
+        for attr in parser[section]:
+            if attr not in config_fields:
+                raise ConfigError(f"{path}: unknown key {attr!r} in [{section}]")
         overrides[key] = {
             attr: _coerce(attr, raw, path)
             for attr, raw in parser[section].items()
@@ -283,11 +293,11 @@ def load_manifest(path) -> RunManifest:
         detectors=detectors,
         output_dir=_resolve(sec.get("output_dir", "out")),
         labels=labels,
-        seed=sec.getint("seed", fallback=0),
-        parallelism=sec.getint("parallelism", fallback=1),
+        seed=_number(sec.getint, "seed", 0),
+        parallelism=_number(sec.getint, "parallelism", 1),
         metrics=metrics,
         profile=sec.get("profile", "standard").strip(),
-        probationary_fraction=sec.getfloat("probationary_fraction", fallback=0.15),
+        probationary_fraction=_number(sec.getfloat, "probationary_fraction", 0.15),
         groups=groups,
         overrides=overrides,
     )

@@ -40,11 +40,10 @@ column-order sums and square roots in Python floats, each one IEEE
 operation, and picks the minimum as ``min`` and ``argmin`` do, bit for
 bit.
 
-Neighbour ordering is deterministic everywhere: ties in distance are
-broken by arrival. The batch functions see members in arrival order and
-sort stably; the incremental structures give each slot an arrival
-sequence number when it is claimed and break ties by it, whatever ids the
-caller uses. Reachability distances are floored at a small constant so
+Neighbour ordering is deterministic everywhere, by one rule: every
+structure sees its members in arrival order, whatever ids the caller
+uses, and every selection sorts stably, so ties in distance are broken by
+arrival. Reachability distances are floored at a small constant so
 coincident duplicates keep densities finite (a fully coincident group
 scores LOF 1).
 """
@@ -52,6 +51,8 @@ scores LOF 1).
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter
 
 import numpy as np
 
@@ -250,13 +251,16 @@ def lloyd_kmeans(features, n_clusters: int, rng: np.random.Generator, max_iter: 
 
 
 class _SlotStore:
-    """Member features in slot-stable rows, with arrival order kept apart.
+    """Member features in slot-stable rows, read in arrival order.
 
     A removed member's slot goes on a free list for a later insert to
     reuse, so per-slot arrays never move; ``_order_slots`` lists the
-    occupied slots in arrival order, and ``_seq`` numbers each slot's
-    member by arrival, for breaking distance ties. A subclass names its
-    own per-slot arrays and their fill values in ``_SLOT_FILLS``.
+    occupied slots in arrival order. ``_rows()``, those slots as an array,
+    and ``member_features()``, their features in that order, are gathered
+    at the first read after a change of the group and kept until the next
+    one; both are read-only, so a caller that writes into one fails
+    instead of corrupting the store. A subclass names its own per-slot
+    arrays and their fill values in ``_SLOT_FILLS``.
     """
 
     _WHAT: str  # names the structure in errors
@@ -265,18 +269,19 @@ class _SlotStore:
     def __init__(self):
         self._cap = 0
         self._X = np.empty((0, 0))
-        self._seq = np.empty(0, dtype=np.int64)
         self._arrivals = 0
         self._slot_of: dict[int, int] = {}
-        self._order_slots: list[int] = []
+        self._order_slots = array("q")  # int64, so _rows() is one buffer copy
         self._free: list[int] = []
+        self._rows_cache: np.ndarray | None = None
+        self._feats_cache: np.ndarray | None = None
 
     def __len__(self):
         return len(self._slot_of)
 
     def _grow(self):
         new_cap = max(64, self._cap * 2)
-        for name, fill in {"_X": 0.0, "_seq": 0, **self._SLOT_FILLS}.items():
+        for name, fill in {"_X": 0.0, **self._SLOT_FILLS}.items():
             old = getattr(self, name)
             new = np.full((new_cap,) + old.shape[1:], fill, dtype=old.dtype)
             new[: self._cap] = old
@@ -294,9 +299,9 @@ class _SlotStore:
             self._X = np.empty((0, x.size))
         if not self._free:
             self._grow()
+        self._rows_cache = self._feats_cache = None
         slot = self._free.pop()
         self._X[slot] = x
-        self._seq[slot] = self._arrivals
         self._arrivals += 1
         self._slot_of[ident] = slot
         self._order_slots.append(slot)
@@ -305,17 +310,27 @@ class _SlotStore:
     def _release(self, ident: int) -> int:
         if ident not in self._slot_of:
             raise DegenerateGroupError(f"entry {ident} not in {self._WHAT}")
+        self._rows_cache = self._feats_cache = None
         slot = self._slot_of.pop(ident)
         self._order_slots.remove(slot)
         self._free.append(slot)
         return slot
 
     def _rows(self) -> np.ndarray:
-        return np.fromiter(self._order_slots, dtype=np.int64, count=len(self._order_slots))
+        """Occupied slots in arrival order (cached, read-only)."""
+        if self._rows_cache is None:
+            rows = np.array(self._order_slots)
+            rows.setflags(write=False)
+            self._rows_cache = rows
+        return self._rows_cache
 
     def member_features(self) -> np.ndarray:
-        """Member features in arrival order."""
-        return self._X.take(self._rows(), axis=0)
+        """Member features in arrival order (cached, read-only)."""
+        if self._feats_cache is None:
+            feats = self._X.take(self._rows(), axis=0)
+            feats.setflags(write=False)
+            self._feats_cache = feats
+        return self._feats_cache
 
 
 class NeighborIndex(_SlotStore):
@@ -326,9 +341,11 @@ class NeighborIndex(_SlotStore):
     LOFs. One test, ``_small``, picks how the group is kept: whether the
     store has at most ``_MATRIX_SLOTS`` slots, its first block. A store
     never shrinks, so it changes regime at most once, when it claims its
-    first slot past that block. The occupied slots and their features are
-    gathered once per change of the group, so a group that stops changing
-    scores queries without gathering.
+    first slot past that block. Every read sees the members in the store's
+    arrival order (``_rows()``, ``member_features()``), gathered once per
+    change of the group, so a group that stops changing scores queries
+    without gathering; every neighbour selection is a stable sort over
+    that order, so distance ties go to the older member.
 
     A small store keeps ``_D``, the distance between every two occupied
     slots with an inf diagonal, and no neighbour rows. The first read
@@ -389,59 +406,42 @@ class NeighborIndex(_SlotStore):
         self._nbrd = np.empty((0, k))  # their distances, inf padded
         self._lrd = np.empty(0)
         self._score = np.empty(0)
-        self._act_cache: np.ndarray | None = None
-        self._xact_cache: np.ndarray | None = None
         self._batch_cache: tuple | None = None  # what _batch returns
         self._col = np.arange(k)
         self._prev = np.maximum(self._col - 1, 0)  # source column of a shift right
         self._built = False
         self._D: np.ndarray | None = None  # slot-indexed pairwise distances, inf diagonal
-        # (feature bytes, arrivals, active slots, distances) of the last score
+        # (feature bytes, arrivals, member slots, distances) of the last score
         self._query: tuple | None = None
 
     def _small(self) -> bool:
         """Whether the store keeps the distance matrix rather than neighbour rows."""
         return self._cap <= self._MATRIX_SLOTS
 
-    def _active(self) -> np.ndarray:
-        """Occupied slots, ascending."""
-        if self._act_cache is None:
-            self._act_cache = self._alive.nonzero()[0]
-        return self._act_cache
-
-    def _active_features(self) -> np.ndarray:
-        """Features of the occupied slots, in the order of ``_active``."""
-        if self._xact_cache is None:
-            self._xact_cache = self._X.take(self._active(), axis=0)
-        return self._xact_cache
-
-    def _group_changed(self):
-        self._act_cache = self._xact_cache = self._batch_cache = None
-
     def _ensure_built(self):
         """Build every row and cached score of a large store, once, before its first read."""
         if self._built:
             return
         self._built = True
-        act = self._active()
-        if act.size:
-            for i in range(0, act.size, self._BUILD_ROWS):
-                self._rebuild_rows(act[i : i + self._BUILD_ROWS])
-            self._refresh(act)
+        rows = self._rows()
+        if rows.size:
+            for i in range(0, rows.size, self._BUILD_ROWS):
+                self._rebuild_rows(rows[i : i + self._BUILD_ROWS])
+            self._refresh(rows)
 
     def _query_distances(self, x: np.ndarray) -> np.ndarray:
-        """Distances from x to the occupied slots, in the order of ``_active``.
+        """Distances from x to the members, in arrival order.
 
         Reuses those of the last ``score`` when it was given the same bytes
         and no member has arrived since; members removed in between are
-        dropped from them. The kernel is elementwise, so this is bitwise
-        a fresh computation.
+        dropped from them, which leaves the rest in arrival order. The
+        kernel is elementwise, so this is bitwise a fresh computation.
         """
         q = self._query
         if q is not None and q[1] == self._arrivals and q[0] == x.tobytes():
-            act, d = q[2], q[3]
-            return d if act.size == len(self) else d[self._alive.take(act)]
-        return _distances(self._active_features(), x)
+            rows, d = q[2], q[3]
+            return d if rows.size == len(self) else d[self._alive.take(rows)]
+        return _distances(self.member_features(), x)
 
     def _matrix(self) -> np.ndarray:
         """The pairwise distance matrix of a small store, made at its first read.
@@ -450,11 +450,11 @@ class NeighborIndex(_SlotStore):
         to a power of two; entries of free slots are stale and never read.
         """
         if self._D is None:
-            act = self._active()
-            block = _pairwise(self._active_features())
+            rows = self._rows()
+            block = _pairwise(self.member_features())
             np.fill_diagonal(block, np.inf)
-            self._D = self._grown(np.empty((0, 0)), act[-1])
-            self._D[act[:, None], act] = block
+            self._D = self._grown(np.empty((0, 0)), rows.max())
+            self._D[rows[:, None], rows] = block
         return self._D
 
     @staticmethod
@@ -518,16 +518,16 @@ class NeighborIndex(_SlotStore):
         # k-distance changes propagate to LRDs of reverse neighbours, and
         # LRD changes propagate to LOFs of their reverse neighbours; every
         # row is full, so no entry is -1 padding
-        act = self._active()
-        if changed.size == act.size:  # a full build reaches every row
-            s_lrd = s_lof = act
+        members = self._rows()
+        if changed.size == members.size:  # a full build reaches every row
+            s_lrd = s_lof = members
         else:
-            rows = self._nbr.take(act, axis=0)
+            rows = self._nbr.take(members, axis=0)
             reach = np.zeros(self._cap, dtype=bool)
             reach[changed] = True
-            reach[act[reach.take(rows).any(axis=1)]] = True
+            reach[members[reach.take(rows).any(axis=1)]] = True
             s_lrd = reach.nonzero()[0]
-            reach[act[reach.take(rows).any(axis=1)]] = True
+            reach[members[reach.take(rows).any(axis=1)]] = True
             s_lof = reach.nonzero()[0]
         nbr = self._nbr.take(s_lrd, axis=0)
         reach_d = np.maximum(np.maximum(self._nbrd[:, -1].take(nbr),
@@ -539,37 +539,37 @@ class NeighborIndex(_SlotStore):
 
     def insert(self, ident: int, feature):
         x = np.asarray(feature, dtype=float)
-        act = self._active()
-        known = (self._built or self._D is not None) and act.size
-        d = self._query_distances(x) if known else np.empty(0)
+        # only a store that keeps rows or a matrix reads the incumbents
+        members = self._rows() if self._built or self._D is not None else None
+        d = self._query_distances(x) if members is not None and members.size else np.empty(0)
         slot = self._claim(ident, x)
         self._alive[slot] = True
-        self._group_changed()
+        self._batch_cache = None
         if self._D is not None:
             if not self._small():  # the store outgrew its first block
                 self._D = None
             else:
                 if slot >= len(self._D):
                     self._D = self._grown(self._D, slot)
-                self._D[slot, act] = d
+                self._D[slot, members] = d
                 # the row's other entries are inf (its diagonal) or stale
                 self._D[:, slot] = self._D[slot]
         if not self._built:
             return
 
-        order = np.lexsort((self._seq.take(act), d))[: self.k]
+        order = np.argsort(d, kind="stable")[: self.k]
         self._nbr[slot] = -1
         self._nbrd[slot] = np.inf
-        self._nbr[slot, : order.size] = act.take(order)
+        self._nbr[slot, : order.size] = members.take(order)
         self._nbrd[slot, : order.size] = d.take(order)
 
         # incumbents that admit the newcomer: all of them while their rows
         # hold every other member, else those it is nearer than the last
         # neighbour; it arrived last, so it goes after every neighbour at
         # an equal distance (and an inf distance after the valid entries)
-        nvalid = min(self.k, act.size - 1)  # neighbours in every row
-        hit = ((d < self._nbrd[:, -1].take(act)) | (nvalid < self.k)).nonzero()[0]
-        rows, dr = act.take(hit), d.take(hit)[:, None]
+        nvalid = min(self.k, members.size - 1)  # neighbours in every row
+        hit = ((d < self._nbrd[:, -1].take(members)) | (nvalid < self.k)).nonzero()[0]
+        rows, dr = members.take(hit), d.take(hit)[:, None]
         nbr, nbrd = self._nbr.take(rows, axis=0), self._nbrd.take(rows, axis=0)
         pos = np.minimum((nbrd <= dr).sum(axis=1), nvalid)[:, None]
         before, at = self._col < pos, self._col == pos
@@ -580,11 +580,11 @@ class NeighborIndex(_SlotStore):
     def remove(self, ident: int):
         slot = self._release(ident)
         self._alive[slot] = False
-        self._group_changed()
+        self._batch_cache = None
         if not self._built:
             return
-        act = self._active()
-        hit = act[(self._nbr.take(act, axis=0) == slot).any(axis=1)]
+        rows = self._rows()
+        hit = rows[(self._nbr.take(rows, axis=0) == slot).any(axis=1)]
         if hit.size:
             self._rebuild_rows(hit)
             self._refresh(hit)
@@ -593,26 +593,25 @@ class NeighborIndex(_SlotStore):
         """Nonconformity of a query point against the current group."""
         x = np.asarray(feature, dtype=float)
         k = self.k
-        act = self._active()
+        rows = self._rows()
         need, name = (k, "k") if self.mode == "distance" else (k + 1, "k+1")
-        if act.size < need:
-            raise DegenerateGroupError(f"need at least {name}={need} entries, have {act.size}")
-        d = _distances(self._active_features(), x)
-        self._query = (x.tobytes(), self._arrivals, act, d)  # for an insert of x
+        if rows.size < need:
+            raise DegenerateGroupError(f"need at least {name}={need} entries, have {rows.size}")
+        # in arrival order, so a stable sort breaks ties by age
+        d = _distances(self.member_features(), x)
+        self._query = (x.tobytes(), self._arrivals, rows, d)  # for an insert of x
         if self.mode == "distance":
             return float(np.partition(d, k - 1)[:k].sum() / k)
         if self._small():
-            # the distances in arrival order, so a stable sort breaks ties by age
-            rows, kdist, lrd, _ = self._batch()
-            d = d.take(act.searchsorted(rows))
+            _, kdist, lrd, _ = self._batch()
             nn = np.argsort(d, kind="stable")[:k]
             return _query_lof(d.take(nn), kdist.take(nn), lrd.take(nn), k)
         self._ensure_built()
         # the first k by (distance, arrival) all lie at or below the k-th
         # smallest distance, so only those entries need sorting
         near = (d <= np.partition(d, k - 1)[k - 1]).nonzero()[0]
-        order = near.take(np.lexsort((self._seq.take(act.take(near)), d.take(near)))[:k])
-        nn = act.take(order)
+        order = near.take(np.argsort(d.take(near), kind="stable")[:k])
+        nn = rows.take(order)
         return _query_lof(d.take(order), self._nbrd[:, -1].take(nn), self._lrd.take(nn), k)
 
     def member_scores(self) -> np.ndarray:
@@ -742,7 +741,7 @@ class ClusterModel(_SlotStore):
             return 0.0
         rows = self._rows()
         assigned = self.centroids.take(self._assign.take(rows), axis=0)
-        mean = float(_distances(self._X.take(rows, axis=0), assigned).mean())
+        mean = float(_distances(self.member_features(), assigned).mean())
         self._bound = mean * rows.size * (1.0 + self._SLACK)
         return mean
 
@@ -762,10 +761,9 @@ class ClusterModel(_SlotStore):
 
     def recluster(self):
         """Full k-means over the current members; resets the drift baseline."""
-        rows = self._rows()
         self.centroids, assign, self._sums, self._counts = lloyd_kmeans(
-            self._X.take(rows, axis=0), self.n_clusters, self.rng)
-        self._assign[rows] = assign
+            self.member_features(), self.n_clusters, self.rng)
+        self._assign[self._rows()] = assign
         self.recompute_count += 1
         self._baseline = self._mean_distance()
 
@@ -784,41 +782,11 @@ class ClusterModel(_SlotStore):
     recompute_member_scores = member_scores
 
 
-class FrequencyTable:
-    """Hash table of SAX-word occurrence counts in the group."""
+class FrequencyMeasure:
+    """SAX-word occurrence counts in the group, with each member's word."""
 
     def __init__(self):
         self.counts: dict[str, int] = {}
-        self.total = 0
-
-    def insert(self, word: str):
-        self.counts[word] = self.counts.get(word, 0) + 1
-        self.total += 1
-
-    def remove(self, word: str):
-        n = self.counts.get(word, 0)
-        if n == 0:
-            raise DegenerateGroupError(f"word {word!r} not in table")
-        if n == 1:
-            del self.counts[word]
-        else:
-            self.counts[word] = n - 1
-        self.total -= 1
-
-    def frequency(self, word: str) -> int:
-        return self.counts.get(word, 0)
-
-    def score(self, word: str) -> float:
-        if self.total == 0:
-            raise DegenerateGroupError("frequency table is empty")
-        return self.total / (self.frequency(word) + 1)
-
-
-class FrequencyMeasure:
-    """Pipeline adapter pairing a FrequencyTable with the member word list."""
-
-    def __init__(self):
-        self.table = FrequencyTable()
         self._words: dict[int, str] = {}  # insertion order is arrival order
 
     def __len__(self):
@@ -827,27 +795,31 @@ class FrequencyMeasure:
     def insert(self, ident: int, word: str):
         if ident in self._words:
             raise DegenerateGroupError(f"entry {ident} already in frequency measure")
-        self.table.insert(word)
+        self.counts[word] = self.counts.get(word, 0) + 1
         self._words[ident] = word
 
     def remove(self, ident: int):
         if ident not in self._words:
             raise DegenerateGroupError(f"entry {ident} not in frequency measure")
-        self.table.remove(self._words.pop(ident))
+        word = self._words.pop(ident)
+        n = self.counts[word]
+        if n == 1:
+            del self.counts[word]
+        else:
+            self.counts[word] = n - 1
 
     def score(self, word: str) -> float:
-        return self.table.score(word)
+        if not self._words:
+            raise DegenerateGroupError("frequency measure is empty")
+        return len(self._words) / (self.counts.get(word, 0) + 1)
 
-    def _loo_scores(self, table: FrequencyTable) -> np.ndarray:
+    def _loo_scores(self, counts) -> np.ndarray:
         # leave-one-out: dropping x_i shrinks the group and its own count by one
-        counts = np.array([table.counts[w] for w in self._words.values()], dtype=np.int64)
-        return (table.total - 1) / counts
+        mine = np.array([counts[w] for w in self._words.values()], dtype=np.int64)
+        return (len(self._words) - 1) / mine
 
     def member_scores(self) -> np.ndarray:
-        return self._loo_scores(self.table)
+        return self._loo_scores(self.counts)
 
     def recompute_member_scores(self) -> np.ndarray:
-        fresh = FrequencyTable()
-        for word in self._words.values():
-            fresh.insert(word)
-        return self._loo_scores(fresh)
+        return self._loo_scores(Counter(self._words.values()))

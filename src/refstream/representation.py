@@ -203,16 +203,19 @@ def sax_transform(
     """SAX word for one subsequence.
 
     A zero-variance subsequence cannot be z-normalised; every segment then
-    maps to the middle symbol (lower middle for even alphabets).
+    maps to the middle symbol (lower middle for even alphabets). A length
+    not divisible by ``segments`` is rejected either way.
     """
+    x = np.asarray(values, dtype=float).tolist()
+    if len(x) % segments:
+        raise ConfigError(f"window length {len(x)} is not divisible by {segments} segments")
     if cuts is None:
         cuts = breakpoints(alphabet_size)
-    x = np.asarray(values, dtype=float).tolist()
     return _sax_word(x, segments, alphabet_size, cuts.tolist())
 
 
 def _sax_word(x: list, segments: int, alphabet_size: int, cuts: list) -> str:
-    """``sax_transform`` of a list of floats, with the cuts as a list."""
+    """``sax_transform`` of a checked list of floats, with the cuts as a list."""
     n = len(x)
     _, d, sd = _moments(x)
     # every value equals the first, as ``(x == x[0]).all()``; count also
@@ -221,8 +224,6 @@ def _sax_word(x: list, segments: int, alphabet_size: int, cuts: list) -> str:
     if sd == 0.0 or (x0 == x0 and x.count(x0) == n):
         mid = (alphabet_size + 1) // 2 - 1
         return SAX_ALPHABET[mid] * segments
-    if n % segments:
-        raise ConfigError(f"window length {n} is not divisible by {segments} segments")
     z = [e / sd for e in d]
     size = n // segments
     return "".join([SAX_ALPHABET[bisect_right(cuts, _pairwise_sum(z, lo, size) / size)]

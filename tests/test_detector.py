@@ -50,6 +50,11 @@ class TestConfig:
             build_detector(DetectorConfig(probationary_fraction=1.0), n_points=100)
         with pytest.raises(ConfigError, match="landmark"):
             build_detector(named_config("lw-nn", landmark=-5), n_points=100)
+        # SaxFeatures has one letter per symbol; the config says so before a run
+        for alphabet in (1, 27, 30):
+            with pytest.raises(ConfigError, match=r"sax_alphabet must be in \[2, 26\]"):
+                named_config("sw-freq", sax_alphabet=alphabet).validate()
+        named_config("sw-freq", sax_alphabet=26).validate()
         # resolved p = 60: the lw group would be empty at the boundary
         for landmark in (60, 100):
             with pytest.raises(ConfigError, match=f"landmark {landmark} .*probation_len 60"):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +206,28 @@ class TestManifest:
             with pytest.raises(ConfigError, match=r"manifest\.ini.*'ds0'"):
                 load_manifest(manifest_path)
 
+    def test_malformed_number_names_manifest_and_key(self, tmp_path):
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(tmp_path, paths)
+        text = manifest_path.read_text()
+        for key, raw in (("seed", "abc"), ("parallelism", "two"),
+                         ("probationary_fraction", "0.1.5")):
+            lines = f"{key} = {raw}" if key == "seed" else f"seed = 7\n{key} = {raw}"
+            manifest_path.write_text(text.replace("seed = 7", lines))
+            with pytest.raises(ConfigError,
+                               match=rf"manifest\.ini: invalid value {re.escape(repr(raw))} for {key}"):
+                load_manifest(manifest_path)
+
+    def test_unknown_override_key_rejected(self, tmp_path):
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(tmp_path, paths, extra="[sw-nn]\nwindwo = 20\n")
+        with pytest.raises(ConfigError, match=r"manifest\.ini: unknown key 'windwo' in \[sw-nn\]"):
+            load_manifest(manifest_path)
+        text = manifest_path.read_text().replace("[sw-nn]\nwindwo = 20\n", "")
+        manifest_path.write_text(text.replace("k = 3\n", "k = 3\nsmoothing = 2\n"))
+        with pytest.raises(ConfigError, match=r"unknown key 'smoothing' in \[defaults\]"):
+            load_manifest(manifest_path)
+
     def test_grid_runs_and_reports(self, tmp_path):
         paths = self._write_corpus(tmp_path)
         manifest = load_manifest(self._write_manifest(tmp_path, paths))
@@ -346,6 +369,21 @@ class TestCli:
     def test_unknown_detector_is_usage_error(self, tmp_path):
         path = self._dataset(tmp_path)
         assert main(["run", str(path), "--detector", "sw-bogus"]) == 1
+
+    def test_bad_manifest_is_usage_error(self, tmp_path, capsys):
+        path = self._dataset(tmp_path)
+        manifest = tmp_path / "manifest.ini"
+        head = f"[manifest]\ndatasets = {path.name}\ndetectors = sw-freq\n"
+        for body, message in (
+            ("seed = abc\n", "invalid value 'abc' for seed"),
+            ("[sw-freq]\nwindwo = 20\n", "unknown key 'windwo' in [sw-freq]"),
+            ("[defaults]\nsax_alphabet = 30\n", "sax_alphabet must be in [2, 26], got 30"),
+        ):
+            manifest.write_text(head + body)
+            assert main(["grid", str(manifest)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_is_data_error(self):
         assert main(["run", "no-such-file.csv"]) == 2

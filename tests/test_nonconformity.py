@@ -11,7 +11,6 @@ from refstream.nonconformity import (
     REACH_FLOOR,
     ClusterModel,
     FrequencyMeasure,
-    FrequencyTable,
     NeighborIndex,
     _batch_lof,
     _distances,
@@ -313,6 +312,10 @@ def check_churn(k, mode, ops):
         else:
             idx.remove(alive.pop(pick % len(alive)))
         feats = idx.member_features()
+        # the store's arrival-ordered gather, read-only
+        assert np.array_equal(feats, idx._X[idx._rows()])
+        with pytest.raises(ValueError, match="read-only"):
+            feats[0] = 0.0
         query = (b / 2, pick % 4 / 2)  # on the grid, so ties reach the k-th place
         if len(alive) >= k + 1:
             assert np.array_equal(idx.member_scores(), idx.recompute_member_scores())
@@ -331,7 +334,7 @@ def check_churn(k, mode, ops):
             assert not idx._built
             continue
         n = min(k, len(alive) - 1)
-        assert ((idx._nbr[idx._active()] != -1).sum(axis=1) == n).all()
+        assert ((idx._nbr[idx._rows()] != -1).sum(axis=1) == n).all()
         ident_of = {slot: ident for ident, slot in idx._slot_of.items()}
         for i, ident in enumerate(alive):
             d = np.sqrt(((feats - feats[i]) ** 2).sum(axis=1))
@@ -507,11 +510,11 @@ def assert_matrix_exact(idx):
     """Every pair of alive slots holds the kernel distance; a slot meets itself at inf."""
     if idx._D is None:
         return
-    act = idx._active()
-    feats = idx._X[act]
+    rows = idx._rows()
+    feats = idx._X[rows]
     want = _distances(feats[:, None, :], feats[None, :, :])
     np.fill_diagonal(want, np.inf)
-    assert np.array_equal(idx._D[np.ix_(act, act)], want)
+    assert np.array_equal(idx._D[np.ix_(rows, rows)], want)
 
 
 def check_matrix_churn(k, mode, ops):
@@ -950,10 +953,11 @@ class TestFeatureWidth:
             group.insert(i, p)
         if store == "built index":
             group.member_scores()
-        before = group.member_features()
+        before, rows = group.member_features(), group._rows()
         with pytest.raises(ValueError, match="has 1 columns"):
             group.insert(5, np.array([5.0]))
         assert np.array_equal(group.member_features(), before)
+        assert np.array_equal(group._rows(), rows)
         group.insert(5, (5.0, 5.0))
         assert np.array_equal(group.member_scores(), group.recompute_member_scores())
 
@@ -961,35 +965,34 @@ class TestFeatureWidth:
 # --- frequency -------------------------------------------------------------------
 
 
+def frequency_measure(words):
+    measure = FrequencyMeasure()
+    for ident, w in enumerate(words):
+        measure.insert(ident, w)
+    return measure
+
+
 class TestFrequency:
     def test_unseen_word_scores_group_size(self):
-        table = FrequencyTable()
-        for w in ["ab"] * 6 + ["cd"] * 4:
-            table.insert(w)
-        assert table.score("zz") == pytest.approx(10.0)
+        measure = frequency_measure(["ab"] * 6 + ["cd"] * 4)
+        assert measure.score("zz") == pytest.approx(10.0)
 
     def test_seen_word(self):
-        table = FrequencyTable()
-        for w in ["ab"] * 4 + ["cd"] * 6:
-            table.insert(w)
-        assert table.score("ab") == pytest.approx(2.0)
+        measure = frequency_measure(["ab"] * 4 + ["cd"] * 6)
+        assert measure.score("ab") == pytest.approx(2.0)
 
     def test_uniform_group_floor(self):
-        table = FrequencyTable()
-        for _ in range(8):
-            table.insert("aa")
-        assert table.score("aa") == pytest.approx(8 / 9)
-        assert table.score("aa") < 1.0
+        measure = frequency_measure(["aa"] * 8)
+        assert measure.score("aa") == pytest.approx(8 / 9)
+        assert measure.score("aa") < 1.0
 
     def test_strictly_decreasing_in_frequency(self):
-        table = FrequencyTable()
-        for i, w in enumerate(["a", "b", "b", "c", "c", "c"]):
-            table.insert(w)
-        assert table.score("a") > table.score("b") > table.score("c")
+        measure = frequency_measure(["a", "b", "b", "c", "c", "c"])
+        assert measure.score("a") > measure.score("b") > measure.score("c")
 
     def test_empty_table_rejected(self):
         with pytest.raises(DegenerateGroupError):
-            FrequencyTable().score("ab")
+            FrequencyMeasure().score("ab")
 
     def test_measure_rejects_repeated_id(self):
         measure = FrequencyMeasure()
@@ -997,7 +1000,7 @@ class TestFrequency:
         with pytest.raises(DegenerateGroupError, match="entry 1 already in"):
             measure.insert(1, "cd")
         assert len(measure) == 1
-        assert measure.table.total == 1
+        assert measure.counts == {"ab": 1}
 
     def test_measure_tracks_recomputation(self):
         measure = FrequencyMeasure()
