@@ -22,6 +22,7 @@ from .grid import (
     evaluate_records,
     load_manifest,
     read_config_overrides,
+    read_ini,
     read_score_csv,
     relative_table,
     run_grid,
@@ -172,11 +173,7 @@ def _cmd_report(args) -> int:
         report = json.load(fh)
     groups = dict(report.get("manifest", {}).get("groups") or {})
     if args.groups:
-        import configparser
-
-        parser = configparser.ConfigParser()
-        if not parser.read(args.groups):
-            raise ConfigError(f"cannot read groups file {args.groups}")
+        parser = read_ini(args.groups, "groups file")
         if not parser.has_section("groups"):
             raise ConfigError(f"{args.groups}: missing [groups] section")
         groups = dict(parser["groups"])

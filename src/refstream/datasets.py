@@ -48,7 +48,7 @@ class DatasetBundle:
         return [StreamPoint(i + 1, float(v)) for i, v in enumerate(self.values)]
 
 
-def _parse_timestamp(token: str):
+def _parse_timestamp(path, lineno: int, token: str):
     token = token.strip()
     try:
         return int(token)
@@ -57,7 +57,7 @@ def _parse_timestamp(token: str):
     try:
         return datetime.fromisoformat(token)
     except ValueError:
-        raise DataError(f"unparseable timestamp {token!r}") from None
+        raise DataError(f"{path}:{lineno}: unparseable timestamp {token!r}") from None
 
 
 def load_label_file(path) -> dict[str, list]:
@@ -103,9 +103,13 @@ def load_csv(
                 continue
             if len(row) < 2:
                 raise DataError(f"{path}:{lineno}: expected at least 2 columns")
-            ts = _parse_timestamp_at(path, lineno, row[0])
-            if prev is not None and ts <= prev:
-                raise DataError(f"{path}:{lineno}: non-monotone timestamp {row[0]!r}")
+            ts = _parse_timestamp(path, lineno, row[0])
+            try:
+                if prev is not None and ts <= prev:
+                    raise DataError(f"{path}:{lineno}: non-monotone timestamp {row[0]!r}")
+            except TypeError:  # an integer and a datetime, or a naive and an aware datetime
+                raise DataError(f"{path}:{lineno}: timestamp {row[0]!r} mixes formats with "
+                                f"{raw_ts[-1]!r}") from None
             prev = ts
             try:
                 value = float(row[1])
@@ -141,13 +145,6 @@ def load_csv(
     )
     bundle.windows = make_windows(bundle.n_points, sorted(anomalies))
     return bundle
-
-
-def _parse_timestamp_at(path, lineno, token):
-    try:
-        return _parse_timestamp(token)
-    except DataError as exc:
-        raise DataError(f"{path}:{lineno}: {exc}") from None
 
 
 def _resolve_label(path, mark: str, index: dict[str, int]) -> int:

@@ -11,6 +11,12 @@ once, each dataset is loaded once, each detector's overrides are merged
 once (``RunManifest._config_for``), and every (dataset, detector) job, run
 in-process or in a process pool, ends as either a result or a failure
 recorded in job order.
+
+Config files, manifests and groups files are INI files, all read by
+``read_ini``: ``[DEFAULT]`` is an ordinary section, ``%`` an ordinary
+character (no interpolation), and every error, syntax errors too, names the
+file. Config files and manifests check their sections and keys, and a blank
+value there means the field's default.
 """
 
 from __future__ import annotations
@@ -110,74 +116,6 @@ def read_score_csv(path) -> list[ScoreRow]:
 
 
 # ---------------------------------------------------------------------------
-# detector config files (flat key-value with sections per component)
-
-_CONFIG_LAYOUT = {
-    "representation": {"kind": "representation", "window": "rep_window",
-                       "segments": "sax_segments", "alphabet": "sax_alphabet"},
-    "strategy": {"kind": "strategy", "window": "window", "landmark": "landmark",
-                 "decay": "decay"},
-    "measure": {"kind": "measure", "k": "k", "clusters": "n_clusters",
-                "recompute_factor": "recompute_factor"},
-    "scoring": {"ks_window": "ks_window", "test_period": "test_period",
-                "threshold": "threshold"},
-    "run": {"probationary_fraction": "probationary_fraction", "seed": "seed",
-            "refresh": "refresh"},
-}
-
-_INT_FIELDS = {"rep_window", "sax_segments", "sax_alphabet", "window", "landmark",
-               "k", "n_clusters", "ks_window", "test_period", "probation_len", "seed"}
-_FLOAT_FIELDS = {"decay", "recompute_factor", "threshold", "probationary_fraction"}
-
-
-def write_reference_config(path) -> Path:
-    """Emit a config file carrying every documented default."""
-    defaults = DetectorConfig()
-    parser = configparser.ConfigParser()
-    for section, mapping in _CONFIG_LAYOUT.items():
-        parser[section] = {}
-        for key, attr in mapping.items():
-            value = getattr(defaults, attr)
-            parser[section][key] = "" if value is None else str(value)
-    path = Path(path)
-    with open(path, "w") as fh:
-        fh.write("# detector configuration; blank window/ks_window default to the\n")
-        fh.write("# probationary length of the dataset being processed\n")
-        parser.write(fh)
-    return path
-
-
-def read_config_overrides(path) -> dict:
-    """Parse a detector config file into DetectorConfig field overrides."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
-    overrides: dict = {}
-    for section, mapping in _CONFIG_LAYOUT.items():
-        if not parser.has_section(section):
-            continue
-        for key, raw in parser[section].items():
-            if key not in mapping:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            if raw.strip() == "":
-                continue
-            overrides[mapping[key]] = _coerce(mapping[key], raw, path)
-    return overrides
-
-
-def _coerce(attr: str, raw: str, origin):
-    raw = raw.strip()
-    try:
-        if attr in _INT_FIELDS:
-            return int(raw)
-        if attr in _FLOAT_FIELDS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"{origin}: invalid value {raw!r} for {attr}") from None
-    return raw
-
-
-# ---------------------------------------------------------------------------
 # manifests
 
 
@@ -235,28 +173,106 @@ def expand_detectors(spec: str) -> list[str]:
     return names
 
 
+# ---------------------------------------------------------------------------
+# INI inputs: detector config files, manifests and groups files
+
+_CONFIG_LAYOUT = {
+    "representation": {"kind": "representation", "window": "rep_window",
+                       "segments": "sax_segments", "alphabet": "sax_alphabet"},
+    "strategy": {"kind": "strategy", "window": "window", "landmark": "landmark",
+                 "decay": "decay"},
+    "measure": {"kind": "measure", "k": "k", "clusters": "n_clusters",
+                "recompute_factor": "recompute_factor"},
+    "scoring": {"ks_window": "ks_window", "test_period": "test_period",
+                "threshold": "threshold"},
+    "run": {"probationary_fraction": "probationary_fraction", "seed": "seed",
+            "refresh": "refresh"},
+}
+
+# each field's type, int, float or str, read from its annotation ("int | None" -> int)
+_KINDS = {f.name: {"int": int, "float": float}.get(f.type.split(" | ")[0], str)
+          for cls in (RunManifest, DetectorConfig) for f in fields(cls)}
+_CONFIG_FIELDS = {f.name: f.name for f in fields(DetectorConfig)}
+# [groups] and the override sections fill the other two RunManifest fields
+_MANIFEST_KEYS = {f.name: f.name for f in fields(RunManifest)
+                  if f.name not in ("groups", "overrides")}
+
+
+def read_ini(path, what: str) -> configparser.ConfigParser:
+    """Parse one INI file by the module's rules; a missing file or a syntax error is a ConfigError."""
+    # no section header can hold a newline, so every section a file names is an ordinary one
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
+    try:
+        if not parser.read(str(path)):
+            raise ConfigError(f"cannot read {what} {path}")
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
+    return parser
+
+
+def _overrides(section, keys: dict[str, str], origin) -> dict:
+    """The fields one section sets: key ``k`` sets field ``keys[k]``, a blank value none."""
+    values = {}
+    for key, raw in section.items():
+        if key not in keys:
+            raise ConfigError(f"{origin}: unknown key {key!r} in [{section.name}]")
+        attr, raw = keys[key], raw.strip()
+        if raw:
+            try:
+                values[attr] = _KINDS[attr](raw)
+            except ValueError:
+                raise ConfigError(f"{origin}: invalid value {raw!r} for {attr}") from None
+    return values
+
+
+def write_reference_config(path) -> Path:
+    """Emit a config file carrying every documented default."""
+    defaults = DetectorConfig()
+    parser = configparser.ConfigParser()
+    for section, mapping in _CONFIG_LAYOUT.items():
+        parser[section] = {}
+        for key, attr in mapping.items():
+            value = getattr(defaults, attr)
+            parser[section][key] = "" if value is None else str(value)
+    path = Path(path)
+    with open(path, "w") as fh:
+        fh.write("# detector configuration; blank window/ks_window default to the\n")
+        fh.write("# probationary length of the dataset being processed\n")
+        parser.write(fh)
+    return path
+
+
+def read_config_overrides(path) -> dict:
+    """Parse a detector config file into DetectorConfig field overrides."""
+    parser = read_ini(path, "config file")
+    overrides: dict = {}
+    for section in parser.sections():
+        if section not in _CONFIG_LAYOUT:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        overrides.update(_overrides(parser[section], _CONFIG_LAYOUT[section], path))
+    return overrides
+
+
 def load_manifest(path) -> RunManifest:
     path = Path(path)
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read manifest {path}")
+    parser = read_ini(path, "manifest")
     if not parser.has_section("manifest"):
         raise ConfigError(f"{path}: missing [manifest] section")
-    sec = parser["manifest"]
-    base = path.parent
+    # a key left out or blank keeps RunManifest's default
+    sec = _overrides(parser["manifest"], _MANIFEST_KEYS, path)
 
     def _resolve(p: str) -> Path:
         cand = Path(p.strip())
-        return cand if cand.is_absolute() else base / cand
-
-    def _number(getter, key: str, fallback):
-        try:
-            return getter(key, fallback=fallback)
-        except ValueError:
-            raise ConfigError(f"{path}: invalid value {sec[key]!r} for {key}") from None
+        return cand if cand.is_absolute() else path.parent / cand
 
     datasets = [_resolve(tok) for tok in sec.get("datasets", "").split(",") if tok.strip()]
     detectors = expand_detectors(sec.get("detectors", "all-20"))
+    sec.update(datasets=datasets, detectors=detectors,
+               output_dir=_resolve(sec.get("output_dir", "out")))
+    if "labels" in sec:
+        sec["labels"] = _resolve(sec["labels"])
+    if "metrics" in sec:
+        sec["metrics"] = tuple(tok.strip() for tok in sec["metrics"].split(",") if tok.strip())
     # a job's score file is named <dataset stem>__<detector>, so a repeat would overwrite one
     for i, name in enumerate(detectors):
         if name in detectors[:i]:
@@ -268,39 +284,21 @@ def load_manifest(path) -> RunManifest:
                 f"{path}: datasets {by_stem[ds.stem]} and {ds} share the name {ds.stem!r}"
             )
         by_stem[ds.stem] = ds
-    labels = _resolve(sec["labels"]) if sec.get("labels", "").strip() else None
-    metrics = tuple(
-        tok.strip() for tok in sec.get("metrics", ",".join(METRICS)).split(",") if tok.strip()
-    )
     groups = dict(parser["groups"]) if parser.has_section("groups") else {}
     overrides: dict[str, dict] = {}
-    config_fields = {f.name for f in fields(DetectorConfig)}
     for section in parser.sections():
         if section in ("manifest", "groups"):
             continue
         key = section.lower()
         if key != "defaults" and key not in DETECTOR_GRID:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for attr in parser[section]:
-            if attr not in config_fields:
-                raise ConfigError(f"{path}: unknown key {attr!r} in [{section}]")
-        overrides[key] = {
-            attr: _coerce(attr, raw, path)
-            for attr, raw in parser[section].items()
-        }
-    return RunManifest(
-        datasets=datasets,
-        detectors=detectors,
-        output_dir=_resolve(sec.get("output_dir", "out")),
-        labels=labels,
-        seed=_number(sec.getint, "seed", 0),
-        parallelism=_number(sec.getint, "parallelism", 1),
-        metrics=metrics,
-        profile=sec.get("profile", "standard").strip(),
-        probationary_fraction=_number(sec.getfloat, "probationary_fraction", 0.15),
-        groups=groups,
-        overrides=overrides,
-    )
+        if key in overrides:
+            raise ConfigError(f"{path}: more than one [{key}] section (names ignore case)")
+        # each job's seed derives from [manifest] seed and would replace this one
+        if "seed" in parser[section]:
+            raise ConfigError(f"{path}: seed in [{section}] has no effect; set [manifest] seed")
+        overrides[key] = _overrides(parser[section], _CONFIG_FIELDS, path)
+    return RunManifest(**sec, groups=groups, overrides=overrides)
 
 
 # ---------------------------------------------------------------------------

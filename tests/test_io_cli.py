@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ import pytest
 import refstream
 from refstream.cli import main
 from refstream.datasets import load_csv, load_label_file, write_csv
-from refstream.detector import DETECTOR_GRID, ScoreRecord
+from refstream.detector import DETECTOR_GRID, DetectorConfig, ScoreRecord
 from refstream.errors import ConfigError, DataError
 from refstream.grid import (
+    _CONFIG_LAYOUT,
     ScoreRow,
     delta_table,
     expand_detectors,
@@ -94,6 +96,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="bad.csv:4"):
             load_csv(p)
 
+    @pytest.mark.parametrize("first, second", [
+        ("1", "2015-01-01 00:00:00"),
+        ("2015-01-01 00:00:00", "2"),
+        ("2015-01-01 00:00:00", "2015-01-01 00:01:00+00:00"),
+    ])
+    def test_mixed_timestamp_formats_rejected_with_line(self, tmp_path, first, second):
+        p = tmp_path / "mixed.csv"
+        p.write_text(f"timestamp,value\n{first},0.0\n{second},1.0\n"
+                     + "".join(f"{t},0.0\n" for t in range(3, 25)))
+        with pytest.raises(DataError, match=rf"mixed\.csv:3: timestamp '{re.escape(second)}' "
+                                            rf"mixes formats with '{re.escape(first)}'"):
+            load_csv(p)
+
     def test_nan_rejected(self, tmp_path):
         p = tmp_path / "nan.csv"
         rows = ["timestamp,value"] + [f"{t},1.0" for t in range(1, 21)] + ["21,nan"]
@@ -161,6 +176,39 @@ class TestReferenceConfig:
         with pytest.raises(ConfigError, match="bananas"):
             read_config_overrides(p)
 
+    def test_every_written_default_reads_back(self, tmp_path):
+        overrides = read_config_overrides(write_reference_config(tmp_path / "ref.ini"))
+        defaults = DetectorConfig()
+        expected = {attr: getattr(defaults, attr) for mapping in _CONFIG_LAYOUT.values()
+                    for attr in mapping.values() if getattr(defaults, attr) is not None}
+        assert overrides == expected
+        for attr, value in overrides.items():
+            assert type(value) is type(expected[attr]), attr
+
+    @pytest.mark.parametrize("text, where", [
+        ("[run]\nseed = 1\nseed = 2\n", r"\[line 3\]: option 'seed' in section 'run' already"),
+        ("[measure]\nk = 3\n[measure]\nk = 4\n", r"\[line 3\]: section 'measure' already"),
+        ("k = 3\n[measure]\n", r"no section headers.*line: 1"),
+        ("[measure]\nk\n", r"parsing errors.*\[line 2\]"),
+    ])
+    def test_syntax_error_names_file_and_line(self, tmp_path, text, where):
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}: .*{where}"):
+            read_config_overrides(p)
+
+    def test_percent_is_an_ordinary_character(self, tmp_path):
+        p = tmp_path / "pct.ini"
+        p.write_text("[run]\nrefresh = res%ults\n")
+        assert read_config_overrides(p) == {"refresh": "res%ults"}
+
+    @pytest.mark.parametrize("section", ["scorng", "Measure", "DEFAULT"])
+    def test_unknown_section_rejected(self, tmp_path, section):
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[{section}]\nk = 3\n")
+        with pytest.raises(ConfigError, match=rf"bad\.ini: unknown section \[{section}\]"):
+            read_config_overrides(p)
+
 
 class TestManifest:
     def _write_corpus(self, tmp_path, n_datasets=2):
@@ -226,6 +274,83 @@ class TestManifest:
         text = manifest_path.read_text().replace("[sw-nn]\nwindwo = 20\n", "")
         manifest_path.write_text(text.replace("k = 3\n", "k = 3\nsmoothing = 2\n"))
         with pytest.raises(ConfigError, match=r"unknown key 'smoothing' in \[defaults\]"):
+            load_manifest(manifest_path)
+
+    @pytest.mark.parametrize("field", [f for f in fields(DetectorConfig) if f.name != "seed"],
+                             ids=lambda f: f.name)
+    def test_override_reaches_config_with_its_annotated_type(self, tmp_path, field):
+        kind = {"int": int, "int | None": int, "float": float, "str": str}[field.type]
+        raw = {int: "7", float: "0.5", str: str(field.default)}[kind]
+        manifest_path = tmp_path / "manifest.ini"
+        manifest_path.write_text("[manifest]\ndatasets = ds0.csv\ndetectors = sw-nn\n"
+                                 f"[defaults]\n{field.name} = {raw}\n")
+        value = getattr(load_manifest(manifest_path)._config_for("sw-nn"), field.name)
+        assert type(value) is kind
+        assert value == kind(raw)
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("seed = 7\n", "seed = 7\nseed = 8\n", r"\[line 6\]: option 'seed' in section 'manifest'"),
+        ("[manifest]\n", "seed = 7\n[manifest]\n", r"no section headers.*line: 1"),
+        ("[defaults]\n", "[sw-nn]\n[sw-nn]\n[defaults]\n", r"\[line 7\]: section 'sw-nn' already"),
+    ])
+    def test_syntax_error_names_manifest_and_line(self, tmp_path, old, new, where):
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(tmp_path, paths)
+        manifest_path.write_text(manifest_path.read_text().replace(old, new, 1))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(manifest_path))}: .*{where}"):
+            load_manifest(manifest_path)
+
+    def test_percent_is_an_ordinary_character(self, tmp_path):
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(tmp_path, paths)
+        manifest_path.write_text(manifest_path.read_text().replace("= out", "= res%ults"))
+        assert load_manifest(manifest_path).output_dir == tmp_path / "res%ults"
+
+    def test_default_section_is_an_unknown_section(self, tmp_path):
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(
+            tmp_path, paths, extra="[groups]\nds0 = drifting\n[DEFAULT]\nk = 3\n")
+        with pytest.raises(ConfigError, match=r"manifest\.ini: unknown section \[DEFAULT\]"):
+            load_manifest(manifest_path)
+
+    def test_blank_value_means_the_default(self, tmp_path):
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(
+            tmp_path, paths, extra="[sw-nn]\nk =\nwindow = \n")
+        manifest_path.write_text(manifest_path.read_text().replace("seed = 7", "seed ="))
+        manifest = load_manifest(manifest_path)
+        assert manifest.seed == 0
+        assert manifest.overrides["sw-nn"] == {}
+        assert manifest._config_for("sw-nn").k == 3  # from [defaults]
+        manifest_path.write_text(manifest_path.read_text().replace("k = 3\n", "k = \n"))
+        manifest = load_manifest(manifest_path)
+        assert manifest.overrides["defaults"] == {"rep_window": 2}
+        assert manifest._config_for("fr-nn").k == DetectorConfig().k
+
+    def test_unknown_manifest_key_rejected(self, tmp_path):
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(tmp_path, paths)
+        manifest_path.write_text(
+            manifest_path.read_text().replace("seed = 7\n", "seed = 7\nparalellism = 2\n"))
+        with pytest.raises(ConfigError,
+                           match=r"manifest\.ini: unknown key 'paralellism' in \[manifest\]"):
+            load_manifest(manifest_path)
+
+    def test_detector_section_given_twice_rejected(self, tmp_path):
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(
+            tmp_path, paths, extra="[sw-nn]\nk = 3\n[SW-NN]\nk = 4\n")
+        with pytest.raises(ConfigError, match=r"manifest\.ini: more than one \[sw-nn\] section"):
+            load_manifest(manifest_path)
+
+    @pytest.mark.parametrize("section", ["defaults", "sw-nn"])
+    def test_seed_in_override_section_rejected(self, tmp_path, section):
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(tmp_path, paths, extra="[sw-nn]\nwindow = 20\n")
+        manifest_path.write_text(
+            manifest_path.read_text().replace(f"[{section}]\n", f"[{section}]\nseed = 5\n"))
+        with pytest.raises(ConfigError,
+                           match=rf"manifest\.ini: seed in \[{section}\] .*\[manifest\] seed"):
             load_manifest(manifest_path)
 
     def test_grid_runs_and_reports(self, tmp_path):
@@ -384,6 +509,29 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()
+
+    def test_malformed_ini_is_usage_error_naming_the_file(self, tmp_path, capsys):
+        path = self._dataset(tmp_path)
+        bad = tmp_path / "bad.ini"
+        report = tmp_path / "report.json"
+        report.write_text("{}")
+        for text, argv in (
+            (f"[manifest]\ndatasets = {path.name}\nseed = 1\nseed = 2\n", ["grid", str(bad)]),
+            ("[run]\nseed = 1\nseed = 2\n", ["run", str(path), "--config", str(bad)]),
+            ("ds0 = drifting\n[groups]\n", ["report", str(report), "--groups", str(bad)]),
+        ):
+            bad.write_text(text)
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+
+    def test_mixed_timestamps_are_data_error(self, tmp_path, capsys):
+        p = tmp_path / "mixed.csv"
+        p.write_text("timestamp,value\n1,0.0\n2015-01-01 00:00:00,1.0\n"
+                     + "".join(f"2015-01-01 00:{m:02d}:00,0.0\n" for m in range(1, 30)))
+        assert main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {p}:3: ") and err.count("\n") == 1, err
 
     def test_missing_file_is_data_error(self):
         assert main(["run", "no-such-file.csv"]) == 2
