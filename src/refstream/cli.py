@@ -49,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"one of {', '.join(DETECTOR_GRID)}")
     run_p.add_argument("--labels", help="sidecar JSON label file")
     run_p.add_argument("--config", help="detector config file")
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--seed", type=int,
+                       help="detector seed (default: the config file's, else 0)")
     run_p.add_argument("--out", help="score CSV path (default <dataset>__<detector>.csv)")
     run_p.add_argument("--profile", default="standard", choices=sorted(NAB_PROFILES))
     run_p.add_argument("--write-reference-config", metavar="PATH",
@@ -90,7 +91,8 @@ def _cmd_run(args) -> int:
         print("error: dataset argument is required", file=sys.stderr)
         return EXIT_USAGE
     overrides = read_config_overrides(args.config) if args.config else {}
-    overrides.setdefault("seed", args.seed)
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     labels = load_label_file(args.labels) if args.labels else None
     bundle = load_csv(args.dataset, labels=labels,
                       probationary_fraction=overrides.get("probationary_fraction", 0.15))

@@ -21,6 +21,7 @@ import numpy as np
 from .detector import StreamPoint
 from .errors import DataError
 from .evaluation import make_windows
+from .representation import FeatureReplay, feature_tape
 
 MIN_LENGTH = 20
 
@@ -35,6 +36,8 @@ class DatasetBundle:
     anomalies: set[int]  # ordinal indices, 1-based
     windows: list[tuple[int, int]] = field(default_factory=list)
     probationary_fraction: float = 0.15
+    # representation key -> feature tape, filled by ``replay``
+    _tapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_points(self) -> int:
@@ -46,6 +49,20 @@ class DatasetBundle:
 
     def points(self) -> list[StreamPoint]:
         return [StreamPoint(i + 1, float(v)) for i, v in enumerate(self.values)]
+
+    def replay(self, representation) -> FeatureReplay:
+        """A replay of ``representation``'s features over this series.
+
+        The first call for a representation ``key`` computes its tape by
+        pushing every value through ``representation``, which must be
+        fresh; later calls with the same key replay that tape and leave
+        ``representation`` unused.
+        """
+        values = memoryview(self.values)  # Python floats, with no copy for each replay
+        tape = self._tapes.get(representation.key)
+        if tape is None:
+            tape = self._tapes[representation.key] = feature_tape(representation, values)
+        return FeatureReplay(values, tape)
 
 
 def _parse_timestamp(path, lineno: int, token: str):

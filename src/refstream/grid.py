@@ -16,7 +16,9 @@ Config files, manifests and groups files are INI files, all read by
 ``read_ini``: ``[DEFAULT]`` is an ordinary section, ``%`` an ordinary
 character (no interpolation), and every error, syntax errors too, names the
 file. Config files and manifests check their sections and keys, and a blank
-value there means the field's default.
+value there means the field's default. Keys ignore case, except in
+``[groups]``, whose keys are dataset names. A manifest's detector sections
+and ``[defaults]`` cannot set a seed, strategy, measure or representation.
 """
 
 from __future__ import annotations
@@ -202,6 +204,7 @@ def read_ini(path, what: str) -> configparser.ConfigParser:
     """Parse one INI file by the module's rules; a missing file or a syntax error is a ConfigError."""
     # no section header can hold a newline, so every section a file names is an ordinary one
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
+    parser.optionxform = str  # [groups] keys are dataset names, whose case matters
     try:
         if not parser.read(str(path)):
             raise ConfigError(f"cannot read {what} {path}")
@@ -211,11 +214,18 @@ def read_ini(path, what: str) -> configparser.ConfigParser:
 
 
 def _overrides(section, keys: dict[str, str], origin) -> dict:
-    """The fields one section sets: key ``k`` sets field ``keys[k]``, a blank value none."""
-    values = {}
+    """The fields one section sets: key ``k`` sets field ``keys[k]``, a blank value none.
+
+    Keys ignore case here, so two spellings of one key are a repeated key.
+    """
+    values, seen = {}, set()
     for key, raw in section.items():
+        key = key.lower()
         if key not in keys:
             raise ConfigError(f"{origin}: unknown key {key!r} in [{section.name}]")
+        if key in seen:
+            raise ConfigError(f"{origin}: key {key!r} repeated in [{section.name}]")
+        seen.add(key)
         attr, raw = keys[key], raw.strip()
         if raw:
             try:
@@ -294,9 +304,14 @@ def load_manifest(path) -> RunManifest:
             raise ConfigError(f"{path}: unknown section [{section}]")
         if key in overrides:
             raise ConfigError(f"{path}: more than one [{key}] section (names ignore case)")
-        # each job's seed derives from [manifest] seed and would replace this one
-        if "seed" in parser[section]:
-            raise ConfigError(f"{path}: seed in [{section}] has no effect; set [manifest] seed")
+        for name in map(str.lower, parser[section]):
+            # each job's seed derives from [manifest] seed and would replace this one
+            if name == "seed":
+                raise ConfigError(
+                    f"{path}: seed in [{section}] has no effect; set [manifest] seed")
+            # the section's name fixes these, and the score file is named after it
+            if name in ("strategy", "measure", "representation"):
+                raise ConfigError(f"{path}: {name} in [{section}] is set by the detector name")
         overrides[key] = _overrides(parser[section], _CONFIG_FIELDS, path)
     return RunManifest(**sec, groups=groups, overrides=overrides)
 
@@ -325,11 +340,14 @@ def _run_job(job: dict) -> dict:
 
     The job carries the dataset bundle and the detector's merged config
     (``RunManifest._config_for``); only the seed is set here, from the
-    manifest seed, the detector name and the dataset name.
+    manifest seed, the detector name and the dataset name. The detector
+    replays the bundle's feature tape for its representation, computed by
+    the first job that asks for it.
     """
     bundle = job["bundle"]
     config = replace(job["config"], seed=_job_seed(job["seed"], job["detector"], bundle.name))
     detector = build_detector(config, n_points=bundle.n_points)
+    detector.representation = bundle.replay(detector.representation)
     records = detector.run(bundle.points())
     score_path = Path(job["out_dir"]) / f"{bundle.name}__{job['detector']}.csv"
     write_score_csv(score_path, records)
@@ -370,9 +388,13 @@ def run_grid(manifest: RunManifest) -> dict:
 
     One pass: the label file is read once, each dataset is loaded once in
     manifest order, and the jobs (dataset-major) and the dataset
-    descriptors share those bundles. A dataset that fails to load fails
-    each of its jobs with the load error. Failures are listed in job order
-    whatever the parallelism; results are sorted by (dataset, detector).
+    descriptors share those bundles. Run serially, the jobs also share each
+    bundle's features: they are computed once per (dataset, representation)
+    and replayed to every job that uses them. A parallel run ships bundles
+    without features, and each job computes its own. A dataset that fails
+    to load fails each of its jobs with the load error. Failures are listed
+    in job order whatever the parallelism; results are sorted by (dataset,
+    detector).
     """
     manifest.validate()
     out_dir = Path(manifest.output_dir)

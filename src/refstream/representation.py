@@ -5,6 +5,17 @@ N observations, and SAX words (z-normalise, piecewise-aggregate, quantise
 against equiprobable standard-normal breakpoints) over the last n
 observations.
 
+A representation's features depend only on its constructor arguments
+(its ``key``) and the values pushed, so the 20 grid detectors need only
+two feature sequences per dataset: (mean, std) with N = 10 for 15 of them
+and SAX words for the 5 frequency detectors. A serial grid computes the
+features once per (dataset, representation): ``feature_tape`` pushes the
+dataset's values through the first job's own representation, and every
+job on that dataset with the same key gets a ``FeatureReplay`` of the tape
+in place of its representation. The tape comes from the same push code,
+so replayed features are bitwise the computed ones. A parallel grid fills
+no tape in the parent; each job computes its own in its worker.
+
 Both keep the last n values in one window buffer: a Python list of length
 2n in which each value is written at i and at i + n (i cycling through
 0..n-1). The last n values in arrival order are then always the contiguous
@@ -53,10 +64,11 @@ from __future__ import annotations
 import math
 import string
 from bisect import bisect_right
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 SAX_ALPHABET = string.ascii_lowercase
 
@@ -267,6 +279,7 @@ class MeanStdFeatures:
         if window < 1:
             raise ConfigError(f"representation window must be >= 1, got {window}")
         self.window = window
+        self.key = ("meanstd", window)
         self._buf = _Window(window)
 
     def push(self, value: float) -> np.ndarray | None:
@@ -297,6 +310,7 @@ class SaxFeatures:
         self.window = window
         self.segments = segments
         self.alphabet_size = alphabet_size
+        self.key = ("sax", window, segments, alphabet_size)
         self._cuts = breakpoints(alphabet_size).tolist()
         self._buf = _Window(window)
 
@@ -308,3 +322,41 @@ class SaxFeatures:
 
     def buffer_len(self) -> int:
         return len(self._buf)
+
+
+def feature_tape(representation, values: Sequence[float]) -> tuple[int, np.ndarray | list]:
+    """Every feature a fresh ``representation`` gives over ``values``.
+
+    Returns the number of warm-up pushes (which give None) and the features
+    after them: (mean, std) features as one read-only (n, 2) float64 array,
+    SAX words as a list, so that every replay can share them.
+    """
+    features = [representation.push(v) for v in values]
+    start = min(representation.window - 1, len(features))
+    rows = features[start:]
+    if isinstance(representation, MeanStdFeatures):
+        rows = np.array(rows, dtype=float).reshape(-1, 2)
+        rows.setflags(write=False)
+    return start, rows
+
+
+class FeatureReplay:
+    """A representation that returns the features of a tape instead of computing them.
+
+    ``push(value)`` returns the tape's next feature, None through warm-up.
+    It raises DataError if ``value`` is not the value the tape was computed
+    from at that position, so a misaligned tape never feeds a detector.
+    """
+
+    def __init__(self, values: Sequence[float], tape: tuple[int, np.ndarray | list]):
+        self._values = values
+        self._start, self._rows = tape
+        self._i = 0
+
+    def push(self, value: float) -> np.ndarray | str | None:
+        i = self._i
+        if i >= len(self._values) or value != self._values[i]:
+            raise DataError(f"value {value!r} at position {i} is not the value its "
+                            "feature tape was computed from")
+        self._i = i + 1
+        return None if i < self._start else self._rows[i - self._start]

@@ -1,6 +1,8 @@
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -13,11 +15,18 @@ import pytest
 import refstream
 from refstream.cli import main
 from refstream.datasets import load_csv, load_label_file, write_csv
-from refstream.detector import DETECTOR_GRID, DetectorConfig, ScoreRecord
+from refstream.detector import (
+    DETECTOR_GRID,
+    DetectorConfig,
+    ScoreRecord,
+    build_detector,
+    named_config,
+)
 from refstream.errors import ConfigError, DataError
 from refstream.grid import (
     _CONFIG_LAYOUT,
     ScoreRow,
+    _job_seed,
     delta_table,
     expand_detectors,
     load_manifest,
@@ -28,7 +37,12 @@ from refstream.grid import (
     write_reference_config,
     write_score_csv,
 )
+from refstream.representation import MeanStdFeatures, SaxFeatures
 from refstream.synthetic import benchmark_stream
+
+
+# fields a manifest's override sections cannot set: the job seed and what the detector name fixes
+NAMED = ("seed", "strategy", "measure", "representation")
 
 
 def make_dataset(path, n=120, seed=0, anomalies=(70, 95), iso=False, label_col=True):
@@ -276,7 +290,7 @@ class TestManifest:
         with pytest.raises(ConfigError, match=r"unknown key 'smoothing' in \[defaults\]"):
             load_manifest(manifest_path)
 
-    @pytest.mark.parametrize("field", [f for f in fields(DetectorConfig) if f.name != "seed"],
+    @pytest.mark.parametrize("field", [f for f in fields(DetectorConfig) if f.name not in NAMED],
                              ids=lambda f: f.name)
     def test_override_reaches_config_with_its_annotated_type(self, tmp_path, field):
         kind = {"int": int, "int | None": int, "float": float, "str": str}[field.type]
@@ -352,6 +366,47 @@ class TestManifest:
         with pytest.raises(ConfigError,
                            match=rf"manifest\.ini: seed in \[{section}\] .*\[manifest\] seed"):
             load_manifest(manifest_path)
+
+    @pytest.mark.parametrize("key", ["strategy", "measure", "representation"])
+    @pytest.mark.parametrize("section", ["defaults", "sw-nn"])
+    def test_key_set_by_the_detector_name_rejected(self, tmp_path, key, section):
+        # [sw-nn] strategy = lw would run lw-nn into <dataset>__sw-nn.csv
+        value = {"strategy": "lw", "measure": "den", "representation": "Meanstd"}[key]
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(tmp_path, paths, extra="[sw-nn]\nwindow = 20\n")
+        manifest_path.write_text(manifest_path.read_text().replace(
+            f"[{section}]\n", f"[{section}]\n{key.capitalize()} = {value}\n"))
+        with pytest.raises(ConfigError,
+                           match=rf"manifest\.ini: {key} in \[{section}\] is set by the detector"):
+            load_manifest(manifest_path)
+
+    def test_keys_ignore_case_outside_groups(self, tmp_path):
+        paths = self._write_corpus(tmp_path, n_datasets=2)
+        manifest_path = self._write_manifest(tmp_path, paths, extra=(
+            "[SW-NN]\nWindow = 20\n[groups]\nDs0 = drifting\nds1 = stable\n"))
+        manifest_path.write_text(manifest_path.read_text().replace("seed = 7", "Seed = 7"))
+        manifest = load_manifest(manifest_path)
+        assert manifest.seed == 7
+        assert manifest.overrides["sw-nn"] == {"window": 20}
+        assert manifest.groups == {"Ds0": "drifting", "ds1": "stable"}
+        manifest_path.write_text(manifest_path.read_text().replace("k = 3\n", "k = 3\nK = 4\n"))
+        with pytest.raises(ConfigError, match=r"manifest\.ini: key 'k' repeated in \[defaults\]"):
+            load_manifest(manifest_path)
+
+    def test_mixed_case_group_reaches_the_report(self, tmp_path):
+        values, marks = benchmark_stream(400, seed=40, kind="drift")
+        paths = [write_csv(tmp_path / "Drift01.csv", values, anomalies=marks),
+                 *self._write_corpus(tmp_path, n_datasets=1)]
+        manifest_path = self._write_manifest(
+            tmp_path, paths, extra="[groups]\nDrift01 = drifting\nds0 = stable\n")
+        report = run_grid(load_manifest(manifest_path))
+        assert report["manifest"]["groups"] == {"Drift01": "drifting", "ds0": "stable"}
+        assert report["datasets"]["Drift01"]["group"] == "drifting"
+        delta = delta_table(report, "roc_auc", report["manifest"]["groups"])
+        swapped = delta_table(report, "roc_auc", {"Drift01": "stable", "ds0": "drifting"})
+        # both datasets count: with only one group filled, every delta would be None
+        assert delta["delta"]["sw"] is not None
+        assert delta["delta"]["sw"] == pytest.approx(-swapped["delta"]["sw"], abs=1e-12)
 
     def test_grid_runs_and_reports(self, tmp_path):
         paths = self._write_corpus(tmp_path)
@@ -467,6 +522,88 @@ class TestManifest:
         assert delta["delta"]["sw"] == pytest.approx(-delta_swap(report), abs=1e-12)
 
 
+def _pickle_records(path, records):
+    """``write_score_csv`` that also keeps the records exactly, next to the CSV.
+
+    A forked pool worker inherits it from the test that patches it in.
+    """
+    Path(path).with_suffix(".pkl").write_bytes(pickle.dumps(records))
+    return write_score_csv(path, records)
+
+
+class TestSharedFeatures:
+    """A serial grid computes each dataset's features once and replays them to every job."""
+
+    KINDS = ("drift", "regime", "periodic", "noisy")
+    N = 200
+
+    def _manifest(self, tmp_path, detectors="all-20"):
+        files = []
+        for i, kind in enumerate(self.KINDS):
+            values, marks = benchmark_stream(self.N, seed=60 + i, kind=kind)
+            files.append(write_csv(tmp_path / f"{kind}.csv", values, anomalies=marks).name)
+        path = tmp_path / "manifest.ini"
+        path.write_text(f"[manifest]\ndatasets = {', '.join(files)}\ndetectors = {detectors}\n"
+                        "output_dir = out\nseed = 3\n")
+        return load_manifest(path)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_records_equal_standalone_runs(self, tmp_path, monkeypatch, parallelism):
+        import refstream.grid as grid
+
+        if parallelism > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers inherit the patched writer only when forked")
+        monkeypatch.setattr(grid, "write_score_csv", _pickle_records)
+        manifest = self._manifest(tmp_path)
+        manifest.parallelism = parallelism
+        report = run_grid(manifest)
+        assert not report["failures"] and len(report["pairs"]) == 80
+        for path in manifest.datasets:
+            bundle = load_csv(path)
+            for name in DETECTOR_GRID:
+                config = named_config(name, seed=_job_seed(manifest.seed, name, bundle.name))
+                expected = build_detector(config, n_points=bundle.n_points).run(bundle.points())
+                got = pickle.loads((tmp_path / "out" / f"{bundle.name}__{name}.pkl").read_bytes())
+                assert got == expected, f"{bundle.name}/{name}"
+
+    def test_serial_grid_builds_two_tapes_per_dataset(self, tmp_path, monkeypatch):
+        pushed: dict[int, object] = {}  # id -> representation, kept alive so no id is reused
+        for cls in (MeanStdFeatures, SaxFeatures):
+            def counting_push(self, value, _push=cls.push):
+                pushed.setdefault(id(self), self)
+                return _push(self, value)
+
+            monkeypatch.setattr(cls, "push", counting_push)
+        report = run_grid(self._manifest(tmp_path))
+        assert not report["failures"] and len(report["pairs"]) == 80
+        kinds = [type(rep).__name__ for rep in pushed.values()]
+        assert sorted(kinds) == ["MeanStdFeatures"] * 4 + ["SaxFeatures"] * 4
+        assert all(rep.buffer_len() == rep.window for rep in pushed.values())
+
+    def test_bundle_replays_share_one_read_only_tape(self, tmp_path):
+        values, marks = benchmark_stream(self.N, seed=60, kind="drift")
+        bundle = load_csv(write_csv(tmp_path / "d.csv", values, anomalies=marks))
+        first, unused = MeanStdFeatures(10), MeanStdFeatures(10)
+        replays = [bundle.replay(first), bundle.replay(unused)]
+        assert (first.buffer_len(), unused.buffer_len()) == (10, 0)
+        a, b = ([r.push(v) for v in bundle.values.tolist()][-1] for r in replays)
+        assert np.shares_memory(a, b)
+        with pytest.raises(ValueError):
+            a[1] = 0.0
+
+    def test_run_writes_the_grid_bytes(self, tmp_path, monkeypatch):
+        # ures-cc and fr-freq replay tapes that sw-nn and ares-freq computed
+        manifest = self._manifest(tmp_path, detectors="sw-nn, ares-freq, ures-cc, fr-freq")
+        assert not run_grid(manifest)["failures"]
+        monkeypatch.chdir(tmp_path)
+        for name in ("ures-cc", "fr-freq"):
+            seed = _job_seed(manifest.seed, name, "periodic")
+            assert main(["run", "periodic.csv", "--detector", name, "--seed", str(seed),
+                         "--out", f"run-{name}.csv"]) == 0
+            assert (tmp_path / f"run-{name}.csv").read_bytes() == (
+                tmp_path / "out" / f"periodic__{name}.csv").read_bytes()
+
+
 def delta_swap(report):
     flipped = delta_table(report, "roc_auc", {"ds0": "stable", "ds1": "drifting"})
     return flipped["delta"]["sw"]
@@ -485,6 +622,43 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["records"] == 170
         assert (tmp_path / "cli__sw-nn.csv").exists()
+
+    @pytest.mark.parametrize("argv, config, seed", [
+        (["--seed", "5"], "reference", 5),  # the flag beats the file's seed
+        ([], "[run]\nseed = 3\n", 3),
+        ([], None, 0),
+    ])
+    def test_run_seed_precedence(self, tmp_path, capsys, monkeypatch, argv, config, seed):
+        import refstream.cli as cli
+
+        monkeypatch.chdir(tmp_path)
+        path = self._dataset(tmp_path)
+        if config == "reference":
+            write_reference_config(tmp_path / "c.ini")
+        elif config is not None:
+            (tmp_path / "c.ini").write_text(config)
+        built = []
+
+        def recording_build(cfg, n_points=None):
+            built.append(cfg.seed)
+            return build_detector(cfg, n_points=n_points)
+
+        monkeypatch.setattr(cli, "build_detector", recording_build)
+        conf = ["--config", str(tmp_path / "c.ini")] if config is not None else []
+        assert main(["run", str(path), "--detector", "ures-nn", *argv, *conf]) == 0
+        assert built == [seed]
+
+    def test_report_groups_file_keeps_key_case(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"pairs": [
+            {"dataset": ds, "detector": det, "roc_auc": auc, "nab": None}
+            for ds, scores in (("Drift01", (0.9, 0.5)), ("ds1", (0.4, 0.8)))
+            for det, auc in zip(("sw-nn", "fr-nn"), scores)]}))
+        (tmp_path / "g.ini").write_text("[groups]\nDrift01 = drifting\nds1 = stable\n")
+        assert main(["report", str(report), "--groups", str(tmp_path / "g.ini")]) == 0
+        delta = json.loads(capsys.readouterr().out)["delta"]
+        assert delta["first"] == "drifting"
+        assert delta["delta"]["sw"] is not None
 
     def test_run_reference_config(self, tmp_path, capsys):
         code = main(["run", "--write-reference-config", str(tmp_path / "ref.ini")])

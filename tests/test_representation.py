@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from refstream.errors import ConfigError
+from refstream.errors import ConfigError, DataError
 from refstream.representation import (
     SAX_ALPHABET,
+    FeatureReplay,
     MeanStdFeatures,
     SaxFeatures,
     _ndtri,
     _pairwise_sum,
     breakpoints,
+    feature_tape,
     meanstd_transform,
     paa,
     sax_transform,
@@ -263,3 +265,57 @@ class TestStreamingMatchesNumpy:
                 assert paa(x, segments).tobytes() == x.reshape(segments, -1).mean(axis=1).tobytes()
                 assert word == numpy_sax(x, segments, alphabet_size)
                 assert sax_transform(x, segments, alphabet_size) == word
+
+
+class TestFeatureReplay:
+    VALUES = np.random.default_rng(5).normal(size=40).tolist()
+
+    @pytest.mark.parametrize("make", [lambda: MeanStdFeatures(10), lambda: SaxFeatures(16, 4, 5)],
+                             ids=["meanstd", "sax"])
+    def test_replay_gives_the_computed_features(self, make):
+        rep = make()
+        computed = [rep.push(v) for v in self.VALUES]
+        replay = FeatureReplay(self.VALUES, feature_tape(make(), self.VALUES))
+        for v, expected in zip(self.VALUES, computed):
+            got = replay.push(v)
+            if expected is None:
+                assert got is None
+            elif isinstance(expected, str):
+                assert got == expected
+            else:
+                assert got.tobytes() == expected.tobytes()
+
+    def test_meanstd_tape_is_one_read_only_array(self):
+        start, rows = feature_tape(MeanStdFeatures(10), self.VALUES)
+        assert start == 9
+        assert rows.shape == (31, 2) and rows.dtype == np.float64
+        replay = FeatureReplay(self.VALUES, (start, rows))
+        feature = [replay.push(v) for v in self.VALUES][-1]
+        with pytest.raises(ValueError):
+            feature[0] = 0.0
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+
+    def test_value_that_differs_from_the_tape_raises(self):
+        replay = FeatureReplay(self.VALUES, feature_tape(MeanStdFeatures(10), self.VALUES))
+        for v in self.VALUES[:12]:
+            replay.push(v)
+        with pytest.raises(DataError, match="at position 12"):
+            replay.push(self.VALUES[12] + 1e-12)
+
+    def test_push_past_the_tape_raises(self):
+        replay = FeatureReplay(self.VALUES, feature_tape(SaxFeatures(16, 4, 5), self.VALUES))
+        for v in self.VALUES:
+            replay.push(v)
+        with pytest.raises(DataError, match="at position 40"):
+            replay.push(self.VALUES[-1])
+
+    def test_series_shorter_than_the_window_is_all_warm_up(self):
+        start, rows = feature_tape(MeanStdFeatures(10), self.VALUES[:4])
+        assert (start, rows.shape) == (4, (0, 2))
+        replay = FeatureReplay(self.VALUES[:4], (start, rows))
+        assert [replay.push(v) for v in self.VALUES[:4]] == [None] * 4
+
+    def test_key_is_the_constructor_arguments(self):
+        assert MeanStdFeatures(10).key == ("meanstd", 10)
+        assert SaxFeatures(16, 4, 5).key == ("sax", 16, 4, 5)
