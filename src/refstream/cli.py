@@ -94,17 +94,17 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     labels = load_label_file(args.labels) if args.labels else None
-    bundle = load_csv(args.dataset, labels=labels,
-                      probationary_fraction=overrides.get("probationary_fraction", 0.15))
-    config = named_config(args.detector, **overrides)
+    bundle = load_csv(args.dataset, labels=labels)
+    name = args.detector.lower()  # as a grid names the detector and its score file
+    config = named_config(name, **overrides)
     detector = build_detector(config, n_points=bundle.n_points)
     records = detector.run(bundle.points())
-    out = args.out or f"{bundle.name}__{args.detector}.csv"
+    out = args.out or f"{bundle.name}__{name}.csv"
     write_score_csv(out, records)
     auc, nab, _ = evaluate_records(records, bundle, args.profile)
     summary = {
         "dataset": bundle.name,
-        "detector": args.detector,
+        "detector": name,
         "records": len(records),
         "flagged": sum(1 for r in records if r.flagged),
         "roc_auc": auc,

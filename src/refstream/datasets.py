@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import StreamPoint
+from .detector import StreamPoint, probation_length
 from .errors import DataError
 from .evaluation import make_windows
 from .representation import FeatureReplay, feature_tape
@@ -45,7 +45,7 @@ class DatasetBundle:
 
     @property
     def probation_len(self) -> int:
-        return max(1, math.floor(self.probationary_fraction * self.n_points))
+        return probation_length(self.probationary_fraction, self.n_points)
 
     def points(self) -> list[StreamPoint]:
         return [StreamPoint(i + 1, float(v)) for i, v in enumerate(self.values)]

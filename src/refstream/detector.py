@@ -32,13 +32,8 @@ from .nonconformity import ClusterModel, FrequencyMeasure, NeighborIndex
 from .representation import SAX_ALPHABET, MeanStdFeatures, SaxFeatures
 from .scoring import AnomalyScorer
 
-REPRESENTATIONS = ("meanstd", "sax")
 STRATEGIES = ("fr", "lw", "sw", "ures", "ares")
 MEASURES = ("nn", "den", "cc", "freq")
-
-# frequency measures work on symbolic words, the proximity measures on
-# numeric vectors; this pairing fixes the representation per measure
-REPRESENTATION_FOR_MEASURE = {"nn": "meanstd", "den": "meanstd", "cc": "meanstd", "freq": "sax"}
 
 DETECTOR_GRID = tuple(f"{ls}-{ncm}" for ls in STRATEGIES for ncm in MEASURES)
 
@@ -65,12 +60,14 @@ class ScoreRecord(NamedTuple):
 class DetectorConfig:
     """Full parameterisation of one detector.
 
-    ``window``, ``ks_window`` and ``probation_len`` may be left unset; they
-    then default to the probationary length derived from the stream size.
+    ``measure`` also picks the representation: SAX words for ``freq``,
+    (mean, std) vectors otherwise. An unset ``rep_window`` defaults to 16
+    values for SAX words and 10 for (mean, std); unset ``window``,
+    ``ks_window`` and ``probation_len`` default to the probationary length
+    derived from the stream size.
     """
 
-    representation: str = "meanstd"
-    rep_window: int = 10  # N for meanstd, n for SAX
+    rep_window: int | None = None  # N for (mean, std), n for SAX
     sax_segments: int = 4
     sax_alphabet: int = 5
     strategy: str = "sw"
@@ -89,28 +86,28 @@ class DetectorConfig:
     seed: int = 0
     refresh: str = "incremental"
 
+    def _rep_window(self) -> int:
+        """``rep_window``, or the representation's default when it is unset."""
+        if self.rep_window is not None:
+            return self.rep_window
+        return 16 if self.measure == "freq" else 10
+
     def validate(self):
-        if self.representation not in REPRESENTATIONS:
-            raise ConfigError(f"representation must be one of {REPRESENTATIONS}, got {self.representation!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.measure not in MEASURES:
             raise ConfigError(f"measure must be one of {MEASURES}, got {self.measure!r}")
-        required = REPRESENTATION_FOR_MEASURE[self.measure]
-        if self.representation != required:
-            raise ConfigError(
-                f"measure {self.measure!r} requires representation {required!r}, got {self.representation!r}"
-            )
-        if self.rep_window < 1:
-            raise ConfigError(f"rep_window must be >= 1, got {self.rep_window}")
-        if self.representation == "sax":
+        rep_window = self._rep_window()
+        if rep_window < 1:
+            raise ConfigError(f"rep_window must be >= 1, got {rep_window}")
+        if self.measure == "freq":
             if not 2 <= self.sax_alphabet <= len(SAX_ALPHABET):
                 raise ConfigError(
                     f"sax_alphabet must be in [2, {len(SAX_ALPHABET)}], got {self.sax_alphabet}"
                 )
-            if self.sax_segments < 1 or self.rep_window % self.sax_segments:
+            if self.sax_segments < 1 or rep_window % self.sax_segments:
                 raise ConfigError(
-                    f"rep_window {self.rep_window} must be divisible by sax_segments {self.sax_segments}"
+                    f"rep_window {rep_window} must be divisible by sax_segments {self.sax_segments}"
                 )
         if self.window is not None and self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
@@ -147,34 +144,32 @@ class DetectorConfig:
             raise ConfigError(f"refresh must be 'incremental' or 'exact', got {self.refresh!r}")
 
     def resolve(self, n_points: int | None = None) -> "DetectorConfig":
-        """Fill in the size-dependent defaults (p, w = p, K-S window = p)."""
+        """Fill in the unset defaults (representation window, p, w = p, K-S window = p)."""
         p = self.probation_len
         if p is None:
             if n_points is None:
                 raise ConfigError("probation_len unset and stream length unknown")
-            p = max(1, math.floor(self.probationary_fraction * n_points))
+            p = probation_length(self.probationary_fraction, n_points)
         window = self.window if self.window is not None else p
         ks_window = self.ks_window if self.ks_window is not None else p
-        return replace(self, probation_len=p, window=window, ks_window=ks_window)
+        return replace(self, rep_window=self._rep_window(), probation_len=p, window=window,
+                       ks_window=ks_window)
+
+
+def probation_length(fraction: float, n_points: int) -> int:
+    """Points in the probationary prefix of a stream of ``n_points``: at least one."""
+    return max(1, math.floor(fraction * n_points))
 
 
 def named_config(name: str, **overrides) -> DetectorConfig:
-    """Config for one of the 20 grid detectors, e.g. 'ares-freq'."""
+    """Config for one of the 20 grid detectors, e.g. 'ares-freq'; ``overrides`` set the rest."""
     try:
         strategy, measure = name.lower().split("-")
     except ValueError:
         raise ConfigError(f"detector name must look like 'sw-nn', got {name!r}") from None
     if strategy not in STRATEGIES or measure not in MEASURES:
         raise ConfigError(f"unknown detector {name!r}; choose from {DETECTOR_GRID}")
-    base = dict(
-        strategy=strategy,
-        measure=measure,
-        representation=REPRESENTATION_FOR_MEASURE[measure],
-    )
-    if measure == "freq" and "rep_window" not in overrides and "sax_segments" not in overrides:
-        base["rep_window"] = 16
-    base.update(overrides)
-    return DetectorConfig(**base)
+    return DetectorConfig(strategy=strategy, measure=measure, **overrides)
 
 
 class Detector:
@@ -182,19 +177,19 @@ class Detector:
 
     def __init__(self, config: DetectorConfig):
         config.validate()
-        if config.probation_len is None or config.window is None or config.ks_window is None:
+        if None in (config.rep_window, config.probation_len, config.window, config.ks_window):
             raise ConfigError("config not resolved; call config.resolve(n_points) first")
         self.config = config
         self.probation_len = config.probation_len
         ss = np.random.SeedSequence(config.seed)
         strategy_rng, measure_rng = (np.random.default_rng(c) for c in ss.spawn(2))
 
-        if config.representation == "meanstd":
-            self.representation = MeanStdFeatures(config.rep_window)
-        else:
+        if config.measure == "freq":
             self.representation = SaxFeatures(
                 config.rep_window, config.sax_segments, config.sax_alphabet
             )
+        else:
+            self.representation = MeanStdFeatures(config.rep_window)
 
         if config.strategy == "fr":
             self.strategy = FixedReference(config.probation_len)

@@ -17,8 +17,10 @@ Config files, manifests and groups files are INI files, all read by
 character (no interpolation), and every error, syntax errors too, names the
 file. Config files and manifests check their sections and keys, and a blank
 value there means the field's default. Keys ignore case, except in
-``[groups]``, whose keys are dataset names. A manifest's detector sections
-and ``[defaults]`` cannot set a seed, strategy, measure or representation.
+``[groups]``, whose keys are dataset names. Only the detector name sets a
+detector's representation, strategy and measure: config files have no
+``kind`` keys, and a manifest's detector sections and ``[defaults]`` cannot
+set them, nor a seed.
 """
 
 from __future__ import annotations
@@ -178,13 +180,14 @@ def expand_detectors(spec: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # INI inputs: detector config files, manifests and groups files
 
+# set by the detector name alone: no config-file kind key, no manifest key
+_NAMED_PARTS = ("representation", "strategy", "measure")
+
 _CONFIG_LAYOUT = {
-    "representation": {"kind": "representation", "window": "rep_window",
-                       "segments": "sax_segments", "alphabet": "sax_alphabet"},
-    "strategy": {"kind": "strategy", "window": "window", "landmark": "landmark",
-                 "decay": "decay"},
-    "measure": {"kind": "measure", "k": "k", "clusters": "n_clusters",
-                "recompute_factor": "recompute_factor"},
+    "representation": {"window": "rep_window", "segments": "sax_segments",
+                       "alphabet": "sax_alphabet"},
+    "strategy": {"window": "window", "landmark": "landmark", "decay": "decay"},
+    "measure": {"k": "k", "clusters": "n_clusters", "recompute_factor": "recompute_factor"},
     "scoring": {"ks_window": "ks_window", "test_period": "test_period",
                 "threshold": "threshold"},
     "run": {"probationary_fraction": "probationary_fraction", "seed": "seed",
@@ -246,8 +249,9 @@ def write_reference_config(path) -> Path:
             parser[section][key] = "" if value is None else str(value)
     path = Path(path)
     with open(path, "w") as fh:
-        fh.write("# detector configuration; blank window/ks_window default to the\n")
-        fh.write("# probationary length of the dataset being processed\n")
+        fh.write("# detector configuration; a blank [representation] window means the\n")
+        fh.write("# measure's default, 16 for freq and 10 otherwise; blank [strategy] window\n")
+        fh.write("# and ks_window default to the probationary length of the dataset\n")
         parser.write(fh)
     return path
 
@@ -259,6 +263,8 @@ def read_config_overrides(path) -> dict:
     for section in parser.sections():
         if section not in _CONFIG_LAYOUT:
             raise ConfigError(f"{path}: unknown section [{section}]")
+        if section in _NAMED_PARTS and "kind" in map(str.lower, parser[section]):
+            raise ConfigError(f"{path}: kind in [{section}] is set by the detector name")
         overrides.update(_overrides(parser[section], _CONFIG_LAYOUT[section], path))
     return overrides
 
@@ -310,7 +316,7 @@ def load_manifest(path) -> RunManifest:
                 raise ConfigError(
                     f"{path}: seed in [{section}] has no effect; set [manifest] seed")
             # the section's name fixes these, and the score file is named after it
-            if name in ("strategy", "measure", "representation"):
+            if name in _NAMED_PARTS:
                 raise ConfigError(f"{path}: {name} in [{section}] is set by the detector name")
         overrides[key] = _overrides(parser[section], _CONFIG_FIELDS, path)
     return RunManifest(**sec, groups=groups, overrides=overrides)

@@ -31,15 +31,17 @@ class TestConfig:
         det = build_detector(named_config(name, k=3), n_points=400)
         assert det.probation_len == 60
 
-    def test_freq_requires_symbolic_representation(self):
-        cfg = DetectorConfig(representation="meanstd", strategy="sw", measure="freq")
-        with pytest.raises(ConfigError, match="freq"):
-            build_detector(cfg, n_points=100)
-
-    def test_numeric_measures_reject_sax(self):
-        cfg = DetectorConfig(representation="sax", rep_window=16, strategy="sw", measure="nn")
-        with pytest.raises(ConfigError, match="nn"):
-            build_detector(cfg, n_points=100)
+    def test_rep_window_default_follows_the_measure(self):
+        # 16 values for freq's SAX words, 10 for (mean, std), whatever else is set
+        for name, overrides, rep_window in (("sw-freq", {"sax_segments": 4}, 16),
+                                            ("sw-freq", {"sax_segments": 8}, 16),
+                                            ("sw-freq", {"rep_window": 12, "sax_segments": 3}, 12),
+                                            ("sw-nn", {"sax_segments": 3}, 10)):
+            config = build_detector(named_config(name, **overrides), n_points=400).config
+            assert config.rep_window == rep_window, (name, overrides)
+        assert named_config("sw-freq").resolve(400).rep_window == 16
+        with pytest.raises(ConfigError, match="rep_window 16 must be divisible by sax_segments 5"):
+            named_config("sw-freq", sax_segments=5).validate()
 
     def test_invalid_parameter_names_field(self):
         with pytest.raises(ConfigError, match="threshold"):
@@ -294,7 +296,7 @@ class TestMemoryBound:
         assert n == 22_695
         assert len(det.strategy) <= 150
         assert len(det.scorer.window) <= 150
-        assert det.representation.buffer_len() <= cfg.rep_window
+        assert det.representation.buffer_len() <= det.config.rep_window == 16
 
     def test_memory_highwater_independent_of_stream_length(self):
         def peak(n_points):

@@ -216,6 +216,15 @@ class TestReferenceConfig:
         p.write_text("[run]\nrefresh = res%ults\n")
         assert read_config_overrides(p) == {"refresh": "res%ults"}
 
+    @pytest.mark.parametrize("section", ["representation", "strategy", "measure"])
+    def test_kind_key_rejected(self, tmp_path, section):
+        # the detector name picks the parts; a kind key would run another detector under it
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[{section}]\nKind = x\n")
+        with pytest.raises(ConfigError,
+                           match=rf"bad\.ini: kind in \[{section}\] is set by the detector name"):
+            read_config_overrides(p)
+
     @pytest.mark.parametrize("section", ["scorng", "Measure", "DEFAULT"])
     def test_unknown_section_rejected(self, tmp_path, section):
         p = tmp_path / "bad.ini"
@@ -665,6 +674,26 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "ref.ini").exists()
 
+    def test_reference_config_runs_every_detector_as_the_defaults_do(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = self._dataset(tmp_path)
+        ref = write_reference_config(tmp_path / "ref.ini")
+        for name in DETECTOR_GRID:
+            assert main(["run", str(path), "--detector", name, "--out", "plain.csv"]) == 0
+            assert main(["run", str(path), "--detector", name, "--config", str(ref),
+                         "--out", "ref.csv"]) == 0
+            assert (tmp_path / "ref.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes(), name
+
+    def test_run_names_the_detector_in_lowercase(self, tmp_path, capsys, monkeypatch):
+        # as a grid does: the score file and the summary carry the name it writes
+        monkeypatch.chdir(tmp_path)
+        path = self._dataset(tmp_path)
+        assert main(["run", str(path), "--detector", "FR-CC"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["detector"], summary["score_file"]) == ("fr-cc", "cli__fr-cc.csv")
+        assert [p.name for p in tmp_path.glob("cli__*")] == ["cli__fr-cc.csv"]
+
     def test_unknown_detector_is_usage_error(self, tmp_path):
         path = self._dataset(tmp_path)
         assert main(["run", str(path), "--detector", "sw-bogus"]) == 1
@@ -754,6 +783,22 @@ class TestCli:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert "relative_performance" in out and "delta" in out
+
+
+class TestSyntheticCorpusScript:
+    def test_corpus_runs_as_a_grid_and_reports_group_deltas(self, tmp_path, capsys):
+        root = Path(refstream.__file__).resolve().parents[2]
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "make_synthetic_corpus.py"), str(tmp_path),
+             "--datasets", "3", "--length", "200", "--detectors", "sw-nn,sw-freq"],
+            capture_output=True, check=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+        assert main(["grid", str(tmp_path / "manifest.ini")]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "results" / "report.json")]) == 0
+        delta = json.loads(capsys.readouterr().out)["delta"]
+        assert (delta["first"], delta["second"]) == ("drifting", "stable")
+        # each measure is ranked against the other; sw holds both detectors, so it has no delta
+        assert None not in (delta["delta"]["nn"], delta["delta"]["freq"])
 
 
 def write_conf(tmp_path):
