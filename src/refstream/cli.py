@@ -16,8 +16,9 @@ from pathlib import Path
 from .datasets import load_csv, load_label_file
 from .detector import DETECTOR_GRID, build_detector, named_config
 from .errors import ConfigError, DataError, DegenerateGroupError
-from .evaluation import NAB_PROFILES, anomaly_clusteredness, difficulty_diversity
+from .evaluation import NAB_PROFILES, anomaly_clusteredness, difficulty, diversity
 from .grid import (
+    METRICS,
     delta_table,
     evaluate_records,
     load_manifest,
@@ -71,11 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
     char_p.add_argument("--scores-dir",
                         help="directory of <dataset>__<detector>.csv files for "
                              "difficulty/diversity")
-    char_p.add_argument("--profile", default="standard", choices=sorted(NAB_PROFILES))
 
     rep_p = sub.add_parser("report", help="relative-performance tables from a grid report")
     rep_p.add_argument("report", help="report.json produced by grid")
-    rep_p.add_argument("--metric", default="roc_auc", choices=["roc_auc", "nab"])
+    rep_p.add_argument("--metric", default="roc_auc", choices=METRICS)
     rep_p.add_argument("--groups",
                        help="INI file with a [groups] section mapping dataset to label "
                             "(defaults to groups stored in the manifest)")
@@ -154,18 +154,14 @@ def _cmd_characterize(args) -> int:
         "anomaly_type": anomaly_type,
     }
     if args.scores_dir:
-        anomaly_scores, metric_values = {}, {}
-        for path in sorted(Path(args.scores_dir).glob(f"{bundle.name}__*.csv")):
-            det = path.stem.split("__", 1)[1]
-            rows = read_score_csv(path)
-            auc, nab, a_scores = evaluate_records(rows, bundle, args.profile)
-            anomaly_scores[det] = a_scores
-            metric_values[det] = auc
-        difficulty, diversity = difficulty_diversity(anomaly_scores, metric_values)
-        result["difficulty_mean_score"] = difficulty
-        result["difficulty"] = None if difficulty is None else 1.0 - difficulty
-        result["diversity_roc_auc"] = diversity
-        result["detectors"] = sorted(anomaly_scores)
+        # sorted paths fix the order the anomaly scores are pooled in
+        paths = sorted(Path(args.scores_dir).glob(f"{bundle.name}__*.csv"))
+        runs = [evaluate_records(read_score_csv(path), bundle) for path in paths]
+        mean_score = difficulty(anomaly_scores for _, _, anomaly_scores in runs)
+        result["difficulty_mean_score"] = mean_score
+        result["difficulty"] = None if mean_score is None else 1.0 - mean_score
+        result["diversity_roc_auc"] = diversity(auc for auc, _, _ in runs)
+        result["detectors"] = sorted(path.stem.split("__", 1)[1] for path in paths)
     print(json.dumps(result, indent=2))
     return EXIT_OK
 
@@ -173,6 +169,8 @@ def _cmd_characterize(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.report) as fh:
         report = json.load(fh)
+    if not isinstance(report, dict) or not isinstance(report.get("pairs"), list):
+        raise DataError(f"{args.report}: not a grid report (no list of pairs)")
     groups = dict(report.get("manifest", {}).get("groups") or {})
     if args.groups:
         parser = read_ini(args.groups, "groups file")

@@ -83,6 +83,10 @@ def load_label_file(path) -> dict[str, list]:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise DataError(f"{path}: label file must be a JSON object")
+    for name, marks in data.items():
+        if not isinstance(marks, list):
+            raise DataError(f"{path}: labels of {name!r} must be a list of timestamps, "
+                            f"got {type(marks).__name__}")
     return data
 
 

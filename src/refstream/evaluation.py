@@ -190,17 +190,17 @@ def anomaly_clusteredness(values, anomalies) -> tuple[float | None, str | None]:
     return nc, None if nc is None else ("clustered" if nc > 0 else "scattered")
 
 
-def difficulty_diversity(anomaly_scores_by_detector, metric_by_detector):
-    """Collective difficulty and disagreement of the detector pool.
+def difficulty(anomaly_scores_per_run) -> float | None:
+    """Mean anomaly-timestamp score pooled across detector runs, in run order.
 
-    Difficulty is the mean anomaly-timestamp score pooled across detectors
-    (low means the anomalies stand out, i.e. the dataset is easy); the
-    report layer presents 1 - mean as a readable difficulty. Diversity is
-    the population standard deviation of the per-detector metric values,
-    absent with fewer than two detectors.
+    Low means the anomalies stand out, i.e. the dataset is easy; the report
+    layer presents 1 - mean as a readable difficulty. None with no scores.
     """
-    pooled = [s for scores in anomaly_scores_by_detector.values() for s in scores]
-    difficulty = float(np.mean(pooled)) if pooled else None
-    metrics = [v for v in metric_by_detector.values() if v is not None]
-    diversity = float(np.std(metrics)) if len(metrics) >= 2 else None
-    return difficulty, diversity
+    pooled = [s for scores in anomaly_scores_per_run for s in scores]
+    return float(np.mean(pooled)) if pooled else None
+
+
+def diversity(metric_per_run) -> float | None:
+    """Population standard deviation of the runs' metric values; None below two values."""
+    values = [v for v in metric_per_run if v is not None]
+    return float(np.std(values)) if len(values) >= 2 else None

@@ -20,7 +20,9 @@ value there means the field's default. Keys ignore case, except in
 ``[groups]``, whose keys are dataset names. Only the detector name sets a
 detector's representation, strategy and measure: config files have no
 ``kind`` keys, and a manifest's detector sections and ``[defaults]`` cannot
-set them, nor a seed.
+set them, nor the run-wide seed and probation, which come from
+``[manifest]`` alone: the report gives each dataset the probation its jobs
+ran. The report summarises both metrics for every method of ``METHOD_MEMBERS``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import concurrent.futures
 import configparser
 import json
+import math
 import zlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -49,7 +52,8 @@ from .evaluation import (
     NAB_PROFILES,
     anomaly_clusteredness,
     delta_performance,
-    difficulty_diversity,
+    difficulty,
+    diversity,
     nab_score,
     normalize_nab,
     relative_performance,
@@ -57,6 +61,10 @@ from .evaluation import (
 )
 
 METRICS = ("roc_auc", "nab")
+
+# each method's detectors: a strategy with every measure, a measure with every strategy
+METHOD_MEMBERS = {**{ls: {f"{ls}-{ncm}" for ncm in MEASURES} for ls in STRATEGIES},
+                  **{ncm: {f"{ls}-{ncm}" for ls in STRATEGIES} for ncm in MEASURES}}
 
 SCORE_COLUMNS = ("timestamp", "nonconformity", "p_value", "final_score", "flagged")
 
@@ -92,6 +100,7 @@ def write_score_csv(path, records) -> Path:
 
 
 def read_score_csv(path) -> list[ScoreRow]:
+    """The rows of a score CSV; a malformed row is a DataError naming its file and line."""
     rows = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -105,17 +114,18 @@ def read_score_csv(path) -> list[ScoreRow]:
             if len(parts) != 5:
                 raise DataError(f"{path}:{lineno}: expected 5 columns")
             try:
-                rows.append(
-                    ScoreRow(
-                        int(parts[0]),
-                        float(parts[1]),
-                        float(parts[2]),
-                        float(parts[3]),
-                        parts[4] == "1",
-                    )
-                )
+                row = ScoreRow(int(parts[0]), float(parts[1]), float(parts[2]),
+                               float(parts[3]), parts[4] == "1")
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if parts[4] not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: flagged must be 0 or 1, got {parts[4]!r}")
+            if not math.isfinite(row.final_score):
+                raise DataError(f"{path}:{lineno}: non-finite final_score {parts[3]!r}")
+            if rows and row.timestamp <= rows[-1].timestamp:
+                raise DataError(f"{path}:{lineno}: timestamp {row.timestamp} does not follow "
+                                f"{rows[-1].timestamp}")
+            rows.append(row)
     return rows
 
 
@@ -131,7 +141,6 @@ class RunManifest:
     labels: Path | None = None
     seed: int = 0
     parallelism: int = 1
-    metrics: tuple[str, ...] = METRICS
     profile: str = "standard"
     probationary_fraction: float = 0.15
     groups: dict[str, str] = field(default_factory=dict)
@@ -147,9 +156,6 @@ class RunManifest:
             raise ConfigError(f"label file not found: {self.labels}")
         if self.profile not in NAB_PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}; choose from {sorted(NAB_PROFILES)}")
-        for metric in self.metrics:
-            if metric not in METRICS:
-                raise ConfigError(f"unknown metric {metric!r}; choose from {METRICS}")
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
         for name in self.detectors:
@@ -159,8 +165,8 @@ class RunManifest:
     def _config_for(self, detector_name: str) -> DetectorConfig:
         merged = dict(self.overrides.get("defaults", {}))
         merged.update(self.overrides.get(detector_name, {}))
-        merged.setdefault("probationary_fraction", self.probationary_fraction)
-        return named_config(detector_name, **merged)
+        return named_config(detector_name, probationary_fraction=self.probationary_fraction,
+                            **merged)
 
 
 def _job_seed(base: int, detector: str, dataset: str) -> int:
@@ -198,6 +204,13 @@ _CONFIG_LAYOUT = {
 _KINDS = {f.name: {"int": int, "float": float}.get(f.type.split(" | ")[0], str)
           for cls in (RunManifest, DetectorConfig) for f in fields(cls)}
 _CONFIG_FIELDS = {f.name: f.name for f in fields(DetectorConfig)}
+# set once per run in [manifest], never in an override section: each job's seed derives
+# from [manifest] seed, and the report gives each dataset the [manifest] probation
+_RUN_WIDE = {
+    "seed": "has no effect; set [manifest] seed",
+    "probationary_fraction": "is set once per run; set [manifest] probationary_fraction",
+    "probation_len": "is set once per run; set [manifest] probationary_fraction",
+}
 # [groups] and the override sections fill the other two RunManifest fields
 _MANIFEST_KEYS = {f.name: f.name for f in fields(RunManifest)
                   if f.name not in ("groups", "overrides")}
@@ -287,8 +300,6 @@ def load_manifest(path) -> RunManifest:
                output_dir=_resolve(sec.get("output_dir", "out")))
     if "labels" in sec:
         sec["labels"] = _resolve(sec["labels"])
-    if "metrics" in sec:
-        sec["metrics"] = tuple(tok.strip() for tok in sec["metrics"].split(",") if tok.strip())
     # a job's score file is named <dataset stem>__<detector>, so a repeat would overwrite one
     for i, name in enumerate(detectors):
         if name in detectors[:i]:
@@ -311,10 +322,8 @@ def load_manifest(path) -> RunManifest:
         if key in overrides:
             raise ConfigError(f"{path}: more than one [{key}] section (names ignore case)")
         for name in map(str.lower, parser[section]):
-            # each job's seed derives from [manifest] seed and would replace this one
-            if name == "seed":
-                raise ConfigError(
-                    f"{path}: seed in [{section}] has no effect; set [manifest] seed")
+            if name in _RUN_WIDE:
+                raise ConfigError(f"{path}: {name} in [{section}] {_RUN_WIDE[name]}")
             # the section's name fixes these, and the score file is named after it
             if name in _NAMED_PARTS:
                 raise ConfigError(f"{path}: {name} in [{section}] is set by the detector name")
@@ -452,32 +461,22 @@ def assemble_report(results: list[dict], failures: list[dict], manifest: RunMani
         {k: r[k] for k in ("dataset", "detector", "roc_auc", "nab", "score_file")}
         for r in results
     ]
-    metrics = [m for m in manifest.metrics if m in METRICS]
-
     method_summary: dict = {}
-    for metric in metrics:
-        by_strategy = {
-            ls: _mean_std(
-                [r[metric] for r in results
-                 if r["detector"].startswith(f"{ls}-") and r[metric] is not None]
-            )
-            for ls in STRATEGIES
+    for metric in METRICS:
+        stats = {
+            method: _mean_std([r[metric] for r in results
+                               if r["detector"] in group and r[metric] is not None])
+            for method, group in METHOD_MEMBERS.items()
         }
-        by_measure = {
-            ncm: _mean_std(
-                [r[metric] for r in results
-                 if r["detector"].endswith(f"-{ncm}") and r[metric] is not None]
-            )
-            for ncm in MEASURES
-        }
-        method_summary[metric] = {"by_strategy": by_strategy, "by_measure": by_measure}
+        method_summary[metric] = {"by_strategy": {ls: stats[ls] for ls in STRATEGIES},
+                                  "by_measure": {ncm: stats[ncm] for ncm in MEASURES}}
 
     # win counts: strict unique maximum per (dataset, metric) slot
     win = {det: 0 for det in manifest.detectors}
     datasets = sorted({r["dataset"] for r in results})
     slots = 0
     for ds in datasets:
-        for metric in metrics:
+        for metric in METRICS:
             scored = [(r["detector"], r[metric]) for r in results
                       if r["dataset"] == ds and r[metric] is not None]
             if not scored:
@@ -491,7 +490,7 @@ def assemble_report(results: list[dict], failures: list[dict], manifest: RunMani
         ls: {ncm: win.get(f"{ls}-{ncm}", 0) for ncm in MEASURES} for ls in STRATEGIES
     }
 
-    dataset_info = _describe_datasets(results, bundles, manifest.groups, metrics)
+    dataset_info = _describe_datasets(results, bundles, manifest.groups)
 
     return {
         "manifest": {
@@ -499,7 +498,7 @@ def assemble_report(results: list[dict], failures: list[dict], manifest: RunMani
             "detectors": list(manifest.detectors),
             "seed": manifest.seed,
             "profile": manifest.profile,
-            "metrics": metrics,
+            "metrics": list(METRICS),
             "groups": dict(manifest.groups),
         },
         "pairs": pairs,
@@ -511,7 +510,7 @@ def assemble_report(results: list[dict], failures: list[dict], manifest: RunMani
     }
 
 
-def _describe_datasets(results, bundles: list[DatasetBundle], groups: dict, metrics) -> dict:
+def _describe_datasets(results, bundles: list[DatasetBundle], groups: dict) -> dict:
     by_dataset: dict[str, list[dict]] = {}
     for r in results:
         by_dataset.setdefault(r["dataset"], []).append(r)
@@ -519,8 +518,7 @@ def _describe_datasets(results, bundles: list[DatasetBundle], groups: dict, metr
     for bundle in bundles:
         nc, anomaly_type = anomaly_clusteredness(bundle.values, bundle.anomalies)
         rs = by_dataset.get(bundle.name, [])
-        # keyed by position: a detector listed twice keeps both of its runs
-        mean_score, _ = difficulty_diversity(dict(enumerate(r["anomaly_scores"] for r in rs)), {})
+        mean_score = difficulty(r["anomaly_scores"] for r in rs)
         info[bundle.name] = {
             "n_points": bundle.n_points,
             "n_anomalies": len(bundle.anomalies),
@@ -531,24 +529,13 @@ def _describe_datasets(results, bundles: list[DatasetBundle], groups: dict, metr
             "anomaly_type": anomaly_type,
             "difficulty_mean_score": mean_score,
             "difficulty": None if mean_score is None else 1.0 - mean_score,
-            "diversity": {
-                metric: difficulty_diversity({}, dict(enumerate(r[metric] for r in rs)))[1]
-                for metric in metrics
-            },
+            "diversity": {metric: diversity(r[metric] for r in rs) for metric in METRICS},
         }
     return info
 
 
 # ---------------------------------------------------------------------------
 # relative-performance tables (method deltas across dataset groups)
-
-
-def method_members(method: str) -> list[str]:
-    if method in STRATEGIES:
-        return [f"{method}-{ncm}" for ncm in MEASURES]
-    if method in MEASURES:
-        return [f"{ls}-{method}" for ls in STRATEGIES]
-    raise ConfigError(f"unknown method {method!r}")
 
 
 def relative_table(report: dict, metric: str) -> dict[str, dict[str, float]]:
@@ -561,8 +548,7 @@ def relative_table(report: dict, metric: str) -> dict[str, dict[str, float]]:
             continue
         by_dataset.setdefault(pair["dataset"], {})[pair["detector"]] = pair[metric]
     table: dict[str, dict[str, float]] = {}
-    for method in list(STRATEGIES) + list(MEASURES):
-        members = set(method_members(method))
+    for method, members in METHOD_MEMBERS.items():
         row: dict[str, float] = {}
         for ds, scores in by_dataset.items():
             mine = [v for det, v in scores.items() if det in members]

@@ -12,7 +12,8 @@ from refstream.evaluation import (
     _average_ranks,
     clusteredness,
     delta_performance,
-    difficulty_diversity,
+    difficulty,
+    diversity,
     make_windows,
     nab_score,
     normalize_nab,
@@ -237,25 +238,19 @@ class TestClusteredness:
 
 class TestDifficultyDiversity:
     def test_unanimous_perfect_scores(self):
-        difficulty, diversity = difficulty_diversity(
-            {"a": [1.0, 1.0], "b": [1.0]}, {"a": 1.0, "b": 1.0}
-        )
-        assert difficulty == 1.0
-        assert diversity == 0.0
+        assert difficulty([[1.0, 1.0], [1.0]]) == 1.0
+        assert diversity([1.0, 1.0]) == 0.0
 
     def test_population_std(self):
-        _, diversity = difficulty_diversity({"a": [0.5], "b": [0.5]}, {"a": 0.2, "b": 0.8})
-        assert diversity == pytest.approx(0.3)
+        assert diversity([0.2, 0.8]) == pytest.approx(0.3)
 
     def test_single_detector_diversity_absent(self):
-        _, diversity = difficulty_diversity({"a": [0.4]}, {"a": 0.9})
-        assert diversity is None
+        assert diversity([0.9]) is None
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
-        scores = {f"d{i}": rng.random(5).tolist() for i in range(20)}
-        metrics = {f"d{i}": float(rng.random()) for i in range(20)}
-        difficulty, diversity = difficulty_diversity(scores, metrics)
-        pooled = [s for ss in scores.values() for s in ss]
-        assert difficulty == pytest.approx(float(np.mean(pooled)), abs=1e-12)
-        assert diversity == pytest.approx(float(np.std(list(metrics.values()))), abs=1e-12)
+        scores = [rng.random(5).tolist() for _ in range(20)]
+        metrics = [float(rng.random()) for _ in range(20)]
+        pooled = [s for ss in scores for s in ss]
+        assert difficulty(iter(scores)) == pytest.approx(float(np.mean(pooled)), abs=1e-12)
+        assert diversity(iter(metrics)) == pytest.approx(float(np.std(metrics)), abs=1e-12)

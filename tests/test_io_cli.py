@@ -25,6 +25,7 @@ from refstream.detector import (
 from refstream.errors import ConfigError, DataError
 from refstream.grid import (
     _CONFIG_LAYOUT,
+    SCORE_COLUMNS,
     ScoreRow,
     _job_seed,
     delta_table,
@@ -41,8 +42,10 @@ from refstream.representation import MeanStdFeatures, SaxFeatures
 from refstream.synthetic import benchmark_stream
 
 
-# fields a manifest's override sections cannot set: the job seed and what the detector name fixes
-NAMED = ("seed", "strategy", "measure", "representation")
+# fields a manifest's override sections cannot set: the run-wide seed and probation, and
+# what the detector name fixes
+NAMED = ("seed", "probationary_fraction", "probation_len", "strategy", "measure",
+         "representation")
 
 
 def make_dataset(path, n=120, seed=0, anomalies=(70, 95), iso=False, label_col=True):
@@ -92,6 +95,15 @@ class TestLoadCsv:
         labels_path.write_text(json.dumps({"c": marks}))
         bundle = load_csv(path, labels=load_label_file(labels_path))
         assert bundle.anomalies == {70, 95}
+
+    @pytest.mark.parametrize("marks", ["86", 86, None])
+    def test_labels_that_are_not_a_list_rejected(self, tmp_path, marks):
+        # a string would label each of its characters: "86" as timestamps 8 and 6
+        labels_path = tmp_path / "labels.json"
+        labels_path.write_text(json.dumps({"ds": [3], "c": marks}))
+        with pytest.raises(DataError, match=rf"^{re.escape(str(labels_path))}: labels of 'c' "
+                                            "must be a list"):
+            load_label_file(labels_path)
 
     def test_unknown_label_timestamp_rejected(self, tmp_path):
         path = make_dataset(tmp_path / "d.csv", label_col=False)
@@ -169,6 +181,19 @@ class TestScoreFiles:
         p = tmp_path / "x.csv"
         p.write_text("a,b\n1,2\n")
         with pytest.raises(DataError, match="header"):
+            read_score_csv(p)
+
+    @pytest.mark.parametrize("row, message", [
+        ("32,1.5,0.5,0.25,yes", "flagged must be 0 or 1, got 'yes'"),
+        ("32,1.5,0.5,nan,1", "non-finite final_score 'nan'"),
+        ("32,1.5,0.5,inf,0", "non-finite final_score 'inf'"),
+        ("31,1.5,0.5,0.25,0", "timestamp 31 does not follow 31"),
+        ("30,1.5,0.5,0.25,0", "timestamp 30 does not follow 31"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        p = tmp_path / "s.csv"
+        p.write_text(",".join(SCORE_COLUMNS) + "\n31,1.0,0.5,0.1,0\n" + row + "\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(f'{p}:3: {message}')}$"):
             read_score_csv(p)
 
 
@@ -374,6 +399,40 @@ class TestManifest:
             manifest_path.read_text().replace(f"[{section}]\n", f"[{section}]\nseed = 5\n"))
         with pytest.raises(ConfigError,
                            match=rf"manifest\.ini: seed in \[{section}\] .*\[manifest\] seed"):
+            load_manifest(manifest_path)
+
+    @pytest.mark.parametrize("key", ["probationary_fraction", "probation_len"])
+    @pytest.mark.parametrize("section", ["defaults", "sw-nn"])
+    def test_probation_in_override_section_rejected(self, tmp_path, key, section):
+        # the report gives each dataset the [manifest] probation, so every job must run it
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(tmp_path, paths, extra="[sw-nn]\nwindow = 20\n")
+        manifest_path.write_text(manifest_path.read_text().replace(
+            f"[{section}]\n", f"[{section}]\n{key} = 50\n"))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(manifest_path))}: {key} in "
+                                              rf"\[{section}\] .*\[manifest\] probationary_fraction"):
+            load_manifest(manifest_path)
+
+    def test_probation_of_report_and_score_files_agree(self, tmp_path):
+        values, marks = benchmark_stream(200, seed=40, kind="drift")
+        paths = [write_csv(tmp_path / "ds0.csv", values, anomalies=marks)]
+        manifest_path = self._write_manifest(tmp_path, paths, detectors="sw-nn, ures-cc")
+        manifest_path.write_text(manifest_path.read_text().replace(
+            "seed = 7\n", "seed = 7\nprobationary_fraction = 0.3\n"))
+        report = run_grid(load_manifest(manifest_path))
+        assert not report["failures"]
+        assert report["datasets"]["ds0"]["probation_len"] == 60
+        for pair in report["pairs"]:
+            assert read_score_csv(pair["score_file"])[0].timestamp == 61, pair["detector"]
+
+    def test_metrics_key_is_unknown(self, tmp_path):
+        # the report always summarises both metrics
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        manifest_path = self._write_manifest(tmp_path, paths)
+        manifest_path.write_text(
+            manifest_path.read_text().replace("seed = 7\n", "seed = 7\nmetrics = nab\n"))
+        with pytest.raises(ConfigError,
+                           match=r"manifest\.ini: unknown key 'metrics' in \[manifest\]"):
             load_manifest(manifest_path)
 
     @pytest.mark.parametrize("key", ["strategy", "measure", "representation"])
@@ -717,7 +776,7 @@ class TestCli:
         path = self._dataset(tmp_path)
         bad = tmp_path / "bad.ini"
         report = tmp_path / "report.json"
-        report.write_text("{}")
+        report.write_text('{"pairs": []}')
         for text, argv in (
             (f"[manifest]\ndatasets = {path.name}\nseed = 1\nseed = 2\n", ["grid", str(bad)]),
             ("[run]\nseed = 1\nseed = 2\n", ["run", str(path), "--config", str(bad)]),
@@ -735,6 +794,32 @@ class TestCli:
         assert main(["run", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {p}:3: ") and err.count("\n") == 1, err
+
+    def test_bad_score_file_is_data_error(self, tmp_path, capsys):
+        # a nan final score used to print "roc_auc": NaN, which is not JSON
+        path = self._dataset(tmp_path)
+        scores = tmp_path / "s.csv"
+        scores.write_text(",".join(SCORE_COLUMNS) + "\n" + "".join(
+            f"{t},1.0,0.5,{'nan' if t == 120 else 0.1},0\n" for t in range(31, 201)))
+        assert main(["score", str(scores), "--dataset", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {scores}:91: non-finite final_score 'nan'\n"
+
+    def test_bad_label_file_is_data_error(self, tmp_path, capsys):
+        path = self._dataset(tmp_path)
+        labels = tmp_path / "labels.json"
+        labels.write_text('{"cli": 86}')
+        assert main(["run", str(path), "--labels", str(labels)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {labels}: labels of 'cli'") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["{}", "[1, 2]", '{"pairs": 3}'])
+    def test_report_of_a_non_report_is_data_error(self, tmp_path, capsys, text):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        assert main(["report", str(report)]) == 2
+        assert capsys.readouterr().err == f"data error: {report}: not a grid report " \
+                                          "(no list of pairs)\n"
 
     def test_missing_file_is_data_error(self):
         assert main(["run", "no-such-file.csv"]) == 2
