@@ -2,10 +2,11 @@
 """Print the record count and one SHA-256 over a fixed matrix of detector runs.
 
 The matrix is 5 streams x the 20 grid detectors x both ``refresh`` modes
-x ``test_period`` 1 and 3, plus one long-window row. Windows are 0.15 of
-a stream's points, so the stream lengths put the sliding and reservoir
-groups on both sides of ``NeighborIndex._MATRIX_SLOTS`` = 64 slots
-(landmark groups outgrow it on every stream). The periodic stream (seed
+x ``test_period`` 1 and 3, plus a long-window row and a benchmark-window
+row. Windows are 0.15 of a stream's points, so the stream lengths put
+the sliding and reservoir groups on both sides of
+``NeighborIndex._MATRIX_SLOTS`` = 64 slots (landmark groups outgrow it
+on every stream). The periodic stream (seed
 103, 200 points) and the drift, regime and noisy streams (seeds 100, 101
 and 102, 400 points) give groups of 30 and 60 members: small stores,
 which keep no neighbour rows and derive their scores from the matrix of
@@ -17,6 +18,11 @@ refresh and test period) on that stream with ``rep_window`` = 136 and
 ``probation_len`` = 300: windows past the 128 values at which numpy's
 pairwise summation splits in two, and SAX segments of 34 values, so the
 window statistics are pinned beyond the short windows the grid uses.
+The benchmark-window row runs fr-* and sw-* for all four measures once
+each on a 1500-point drift stream (seed 105) with ``window`` =
+``probation_len`` = ``ks_window`` = 450, the setting of the perfbench
+``frozen`` and ``slide`` workloads: groups and K-S windows of 450, and
+cluster-centroid groups far past any other row's.
 Each record is packed as its timestamp (int64), the four floats of the
 scoring chain (float64, bit for bit) and the flag, little-endian, in run
 order. Two checkouts whose records are bit-identical print the same line.
@@ -36,6 +42,8 @@ from refstream.synthetic import benchmark_stream
 STREAMS = (("drift", 100, 400), ("regime", 101, 400), ("noisy", 102, 400),
            ("periodic", 103, 200), ("drift", 104, 500))  # (kind, seed, points)
 LONG_WINDOWS = ("drift", 104, 500, {"rep_window": 136, "probation_len": 300})
+BENCH_WINDOWS = ("drift", 105, 1500, ("fr", "sw"),
+                 {"window": 450, "probation_len": 450, "ks_window": 450})
 REFRESH_MODES = ("incremental", "exact")
 TEST_PERIODS = (1, 3)
 RECORD = struct.Struct("<qddddB")
@@ -51,6 +59,10 @@ def runs():
     *stream, overrides = LONG_WINDOWS
     for name in DETECTOR_GRID:
         yield tuple(stream), named_config(name, **overrides)
+    *stream, strategies, overrides = BENCH_WINDOWS
+    for name in DETECTOR_GRID:
+        if name.split("-")[0] in strategies:
+            yield tuple(stream), named_config(name, **overrides)
 
 
 def main() -> int:

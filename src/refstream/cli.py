@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .datasets import load_csv, load_label_file
+from .datasets import load_csv, load_label_file, read_json
 from .detector import DETECTOR_GRID, build_detector, named_config
 from .errors import ConfigError, DataError, DegenerateGroupError
 from .evaluation import NAB_PROFILES, anomaly_clusteredness, difficulty, diversity
@@ -166,12 +166,34 @@ def _cmd_characterize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    with open(args.report) as fh:
-        report = json.load(fh)
+def _is_pair(pair) -> bool:
+    """Whether ``pair`` holds what the tables read: two names and a number or null per metric."""
+    return (isinstance(pair, dict) and isinstance(pair.get("dataset"), str)
+            and isinstance(pair.get("detector"), str)
+            and all(m in pair and (pair[m] is None or type(pair[m]) in (int, float))
+                    for m in METRICS))
+
+
+def _read_report(path) -> tuple[dict, dict]:
+    """A grid report and its manifest's groups; a file of any other shape is a DataError."""
+    report = read_json(path)
     if not isinstance(report, dict) or not isinstance(report.get("pairs"), list):
-        raise DataError(f"{args.report}: not a grid report (no list of pairs)")
-    groups = dict(report.get("manifest", {}).get("groups") or {})
+        raise DataError(f"{path}: not a grid report (no list of pairs)")
+    manifest = report.get("manifest", {})
+    groups = (manifest.get("groups") or {}) if isinstance(manifest, dict) else None
+    if not isinstance(groups, dict) or not all(isinstance(g, str) for g in groups.values()):
+        raise DataError(f"{path}: not a grid report (manifest is not an object "
+                        "whose groups map datasets to labels)")
+    for i, pair in enumerate(report["pairs"]):
+        if not _is_pair(pair):
+            raise DataError(f"{path}: not a grid report (pair {i} is not an object with a "
+                            f"dataset, a detector and a number or null for each of "
+                            f"{', '.join(METRICS)})")
+    return report, groups
+
+
+def _cmd_report(args) -> int:
+    report, groups = _read_report(args.report)
     if args.groups:
         parser = read_ini(args.groups, "groups file")
         if not parser.has_section("groups"):
@@ -205,7 +227,7 @@ def main(argv=None) -> int:
     except (ConfigError, DegenerateGroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -65,6 +66,31 @@ class DatasetBundle:
         return FeatureReplay(values, tape)
 
 
+@contextmanager
+def open_input(path):
+    """Open an input file as UTF-8 text, with line endings kept as written.
+
+    A directory, or bytes that are not UTF-8, is a DataError naming the
+    path; a missing file stays a FileNotFoundError.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except IsADirectoryError:
+        raise DataError(f"cannot read {path}: it is a directory") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_json(path):
+    """The JSON document in an input file; text that is not JSON is a DataError naming it."""
+    with open_input(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not JSON ({exc})") from None
+
+
 def _parse_timestamp(path, lineno: int, token: str):
     token = token.strip()
     try:
@@ -79,8 +105,7 @@ def _parse_timestamp(path, lineno: int, token: str):
 
 def load_label_file(path) -> dict[str, list]:
     """JSON sidecar: dataset name -> list of anomaly timestamps."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise DataError(f"{path}: label file must be a JSON object")
     for name, marks in data.items():
@@ -112,7 +137,7 @@ def load_csv(
     raw_ts: list[str] = []
     anomalies: set[int] = set()
     prev = None
-    with open(path, newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import DatasetBundle, load_csv, load_label_file
+from .datasets import DatasetBundle, load_csv, load_label_file, open_input
 from .detector import (
     DETECTOR_GRID,
     DetectorConfig,
@@ -102,7 +102,7 @@ def write_score_csv(path, records) -> Path:
 def read_score_csv(path) -> list[ScoreRow]:
     """The rows of a score CSV; a malformed row is a DataError naming its file and line."""
     rows = []
-    with open(path) as fh:
+    with open_input(path) as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != SCORE_COLUMNS:
             raise DataError(f"{path}: unexpected score file header {header}")

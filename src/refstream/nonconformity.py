@@ -32,13 +32,16 @@ by column; a single query's coordinates enter as Python floats, which
 spares a numpy scalar per column. For the two-column (mean, std) features
 the pipeline makes this is the same sum numpy's reduction over that axis
 computes, without the cost of broadcasting over a length-2 inner axis or
-of the reduction itself. The one query kernel that leaves numpy is
-``_nearest``, the centroid nearest to one point (``cc_score`` and
-``ClusterModel.insert``): over a handful of centroids, numpy's per-call
-cost exceeds the arithmetic, so it makes the same subtractions, squares,
-column-order sums and square roots in Python floats, each one IEEE
-operation, and picks the minimum as ``min`` and ``argmin`` do, bit for
-bit.
+of the reduction itself. The k-means model's per-point work leaves
+numpy: over a handful of centroids, numpy's per-call cost exceeds the
+arithmetic. ``ClusterModel`` keeps each cluster's centroid, sum and count
+as Python numbers, and ``_nearest``, the centroid nearest to one point
+(``cc_score``, ``ClusterModel.score`` and ``insert``), reads them as they
+are. Both make the subtractions, squares, column-order sums, quotients
+and square roots numpy would, each one IEEE operation, and ``_nearest``
+picks the minimum as ``min`` and ``argmin`` do, bit for bit. Work over
+the whole group (member scores, the exact drift mean, k-means) stays in
+numpy.
 
 Neighbour ordering is deterministic everywhere, by one rule: every
 structure sees its members in arrival order, whatever ids the caller
@@ -179,25 +182,25 @@ def lof_score(x, features, k: int) -> float:
     return _query_lof(d.take(nn), kdist.take(nn), lrd.take(nn), k)
 
 
-def _nearest(centroids: np.ndarray, x: np.ndarray) -> tuple[int, float]:
-    """Index and distance of the centroid nearest to the 1-D query x.
+def _nearest(centroids: list, x: list) -> tuple[int, float]:
+    """Index and distance of the centroid nearest to the query x.
 
-    Bitwise ``_distances(centroids, x)``'s ``argmin()`` and ``min()``: the
-    same width check, subtractions, squares and column-order sums in Python
-    floats, the first minimal index, and, as numpy does, the first NaN if
-    one occurs.
+    The centroids are a list of rows and x one row, all lists of Python
+    floats. Bitwise ``_distances(np.array(centroids), np.array(x))``'s
+    ``argmin()`` and ``min()``: the same width check, subtractions,
+    squares and column-order sums, the first minimal index, and, as numpy
+    does, the first NaN if one occurs.
     """
-    width = centroids.shape[-1]
-    if x.shape[-1] != width:
-        raise ValueError(f"query has {x.shape[-1]} columns, features have {width}")
-    xs = x.tolist()
-    x0, rest = xs[0], range(1, len(xs))
+    width = len(centroids[0])
+    if len(x) != width:
+        raise ValueError(f"query has {len(x)} columns, features have {width}")
+    x0, rest = x[0], range(1, width)
     best, dist = 0, math.inf
-    for i, c in enumerate(centroids.tolist()):
+    for i, c in enumerate(centroids):
         d = c[0] - x0
         sq = d * d
         for j in rest:
-            d = c[j] - xs[j]
+            d = c[j] - x[j]
             sq += d * d
         dc = math.sqrt(sq)
         if dc != dc:
@@ -212,7 +215,26 @@ def cc_score(x, centroids) -> float:
     cents = np.asarray(centroids, dtype=float)
     if cents.size == 0:
         raise DegenerateGroupError("cluster model has no centroids")
-    return _nearest(cents, np.asarray(x, dtype=float))[1]
+    return _nearest(cents.tolist(), np.asarray(x, dtype=float).tolist())[1]
+
+
+def _distinct_rows(feats: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array in ascending lexicographic order.
+
+    The rows and order of ``np.unique(feats, axis=0)`` at a fraction of
+    its cost: a stable sort over the columns (``lexsort`` takes its
+    primary key last) and a mask of the rows that differ from their
+    predecessor. Rows equal under ``==`` but not in bits (signed zeros)
+    are one row; this keeps the first to arrive, where ``np.unique`` may
+    keep either. Every read of a centroid is a difference that gets
+    squared or whose magnitude is taken, so the sign of a zero reaches no
+    result.
+    """
+    srt = feats.take(np.lexsort(feats.T[::-1]), axis=0)
+    first = np.empty(len(srt), dtype=bool)
+    first[:1] = True
+    np.not_equal(srt[1:], srt[:-1]).any(axis=1, out=first[1:])
+    return srt[first]
 
 
 def lloyd_kmeans(features, n_clusters: int, rng: np.random.Generator, max_iter: int = 100):
@@ -228,12 +250,13 @@ def lloyd_kmeans(features, n_clusters: int, rng: np.random.Generator, max_iter: 
     feats = np.asarray(features, dtype=float)
     if len(feats) == 0:
         raise DegenerateGroupError("cannot cluster an empty group")
-    uniq = np.unique(feats, axis=0)
+    uniq = _distinct_rows(feats)
     kk = min(n_clusters, len(uniq))
-    centroids = uniq[rng.choice(len(uniq), size=kk, replace=False)].copy()
+    centroids = uniq.take(rng.choice(len(uniq), size=kk, replace=False), axis=0)
+    rows = feats[:, None, :]
     assign = None
     for _ in range(max_iter):
-        new_assign = _squared_distances(feats[:, None, :], centroids[None, :, :]).argmin(axis=1)
+        new_assign = _squared_distances(rows, centroids[None, :, :]).argmin(axis=1)
         if assign is not None and (new_assign == assign).all():
             break
         assign = new_assign
@@ -241,8 +264,11 @@ def lloyd_kmeans(features, n_clusters: int, rng: np.random.Generator, max_iter: 
         sums = np.zeros_like(centroids)
         np.add.at(sums, assign, feats)
         counts = np.bincount(assign, minlength=kk)
-        filled = counts > 0
-        centroids[filled] = sums[filled] / counts[filled, None]
+        if counts.all():
+            centroids = sums / counts[:, None]
+        else:  # an emptied cluster keeps its previous centroid
+            filled = counts > 0
+            centroids[filled] = sums[filled] / counts[filled, None]
     return centroids, assign, sums, counts
 
 
@@ -652,6 +678,16 @@ class ClusterModel(_SlotStore):
     factor, a full seeded k-means pass reassigns everything. Between
     recomputations assignments are order-dependent by construction.
 
+    Each cluster's centroid and sum are lists of Python floats and its
+    count an int (``_cents``, ``_sums``, ``_counts``), so an insert, a
+    removal or a score is a few float operations instead of numpy calls
+    on short vectors. Each float operation is the IEEE operation numpy's
+    elementwise update made (a sum, then a quotient by the count), so the
+    values are bitwise those of an array model. ``centroids`` reads them
+    as one (clusters, dim) array, built at the first read after a change
+    and read-only, for the batch reads (``member_scores``, the exact
+    mean); a recluster hands over k-means' own array.
+
     The exact mean costs a pass over the group, so the model also keeps
     ``_bound``, an upper bound on the summed distance, and skips a check
     whose bound lies below the limit. By the triangle inequality an
@@ -680,57 +716,61 @@ class ClusterModel(_SlotStore):
         self.n_clusters = n_clusters
         self.recompute_factor = recompute_factor
         self.rng = rng
-        self.centroids = np.empty((0, 0))
-        self._sums = np.empty((0, 0))
-        self._counts = np.empty(0, dtype=np.int64)
+        self._cents: list[list[float]] = []  # each cluster's centroid
+        self._sums: list[list[float]] = []  # the sum of its members
+        self._counts: list[int] = []  # and their number
+        self._cents_array: np.ndarray | None = None  # what ``centroids`` returns
         self._baseline: float | None = None
         self._bound = 0.0  # upper bound on the summed member-to-centroid distance
         self.recompute_count = 0
         self._assign = np.empty(0, dtype=np.int64)  # cluster of each slot
 
-    def _ensure_dim(self, dim: int):
-        if self.centroids.shape[1] != dim:
-            self.centroids = np.empty((0, dim))
-            self._sums = np.empty((0, dim))
-
-    def _open_cluster(self, x: np.ndarray) -> int:
-        self.centroids = np.vstack([self.centroids, x])
-        self._sums = np.vstack([self._sums, x])
-        self._counts = np.append(self._counts, 1)
-        return len(self.centroids) - 1
+    @property
+    def centroids(self) -> np.ndarray:
+        """The centroids as one (clusters, dim) array (cached, read-only)."""
+        if self._cents_array is None:
+            cents = np.array(self._cents) if self._cents else np.empty((0, self._X.shape[1]))
+            cents.setflags(write=False)
+            self._cents_array = cents
+        return self._cents_array
 
     def insert(self, ident: int, feature):
         x = np.asarray(feature, dtype=float)
         slot = self._claim(ident, x)
-        self._ensure_dim(x.size)
-        if len(self.centroids) < self.n_clusters and self._baseline is None:
-            self._assign[slot] = self._open_cluster(x)  # at its centroid: the bound holds
+        xs = x.tolist()
+        self._cents_array = None
+        if len(self._cents) < self.n_clusters and self._baseline is None:
+            # a cluster of its own, at its centroid: the bound holds
+            self._assign[slot] = len(self._cents)
+            self._cents.append(xs)
+            self._sums.append(xs)  # replaced, never written, on a change
+            self._counts.append(1)
         else:
-            c = _nearest(self.centroids, x)[0]
+            c = _nearest(self._cents, xs)[0]
             self._assign[slot] = c
-            n_old = int(self._counts[c])
-            self._sums[c] += x
-            self._counts[c] += 1
-            new = self._sums[c] / self._counts[c]
+            n_old = self._counts[c]
+            n = self._counts[c] = n_old + 1
+            s = self._sums[c] = [a + b for a, b in zip(self._sums[c], xs)]
+            new = [v / n for v in s]
             # each old member moves at most as far as the centroid does
-            shift = math.dist(new, self.centroids[c])
-            self.centroids[c] = new
-            self._bound += (math.dist(x, new) + n_old * shift) * (1.0 + self._SLACK)
+            shift = math.dist(new, self._cents[c])
+            self._cents[c] = new
+            self._bound += (math.dist(xs, new) + n_old * shift) * (1.0 + self._SLACK)
         self._check_drift()
 
     def remove(self, ident: int):
         slot = self._release(ident)
-        c = self._assign[slot]
-        x = self._X[slot]
-        gone = math.dist(x, self.centroids[c])
-        self._sums[c] -= x
-        self._counts[c] -= 1
-        n_left = int(self._counts[c])
+        c = int(self._assign[slot])
+        xs = self._X[slot].tolist()
+        gone = math.dist(xs, self._cents[c])
+        n_left = self._counts[c] = self._counts[c] - 1
+        s = self._sums[c] = [a - b for a, b in zip(self._sums[c], xs)]
         shift = 0.0  # an emptied cluster keeps its centroid
         if n_left > 0:
-            new = self._sums[c] / self._counts[c]
-            shift = math.dist(new, self.centroids[c])
-            self.centroids[c] = new
+            new = [v / n_left for v in s]
+            shift = math.dist(new, self._cents[c])
+            self._cents[c] = new
+            self._cents_array = None
         self._bound += n_left * shift * (1.0 + self._SLACK) - gone * (1.0 - self._SLACK)
         self._check_drift()
 
@@ -741,7 +781,8 @@ class ClusterModel(_SlotStore):
             return 0.0
         rows = self._rows()
         assigned = self.centroids.take(self._assign.take(rows), axis=0)
-        mean = float(_distances(self.member_features(), assigned).mean())
+        # sum / count, the arithmetic of .mean() without its Python wrapper
+        mean = float(np.add.reduce(_distances(self.member_features(), assigned)) / rows.size)
         self._bound = mean * rows.size * (1.0 + self._SLACK)
         return mean
 
@@ -761,14 +802,19 @@ class ClusterModel(_SlotStore):
 
     def recluster(self):
         """Full k-means over the current members; resets the drift baseline."""
-        self.centroids, assign, self._sums, self._counts = lloyd_kmeans(
+        cents, assign, sums, counts = lloyd_kmeans(
             self.member_features(), self.n_clusters, self.rng)
+        self._cents, self._sums, self._counts = cents.tolist(), sums.tolist(), counts.tolist()
+        cents.setflags(write=False)
+        self._cents_array = cents
         self._assign[self._rows()] = assign
         self.recompute_count += 1
         self._baseline = self._mean_distance()
 
     def score(self, feature) -> float:
-        return cc_score(feature, self.centroids)
+        if not self._cents:
+            raise DegenerateGroupError("cluster model has no centroids")
+        return _nearest(self._cents, np.asarray(feature, dtype=float).tolist())[1]
 
     def member_scores(self) -> np.ndarray:
         # transposed (centroid, member): each difference is negated, which

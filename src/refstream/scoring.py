@@ -10,7 +10,7 @@ log-inversion, running-moment normalisation and Gaussian scaling.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -140,10 +140,13 @@ class AnomalyScorer:
     the p-value window. The K-S test runs every ``test_period`` steps and
     the last significance is held in between.
 
-    The window is kept twice: in arrival order in ``window``, and sorted in
-    a float64 array that each step updates by one removal and one insertion
-    instead of re-sorting, so the K-S statistic needs no sort. That array
-    is the middle third, ``_sorted``, of one buffer of length 3n laid out
+    The window is kept in arrival order in ``window``, and sorted twice:
+    in a list, ``_sorted_list``, and in a float64 array, ``_sorted``. Each
+    step updates both by one removal and one insertion instead of
+    re-sorting. ``bisect`` on the list finds the two positions, since a
+    search of a window of Python floats costs less than one numpy call;
+    the array is there so the K-S statistic needs no sort and no
+    conversion. It is the middle third of one buffer of length 3n laid out
     as ``[upper steps | window ascending | lower steps]``. For a full
     window, subtracting the buffer's last 2n entries from its first 2n
     gives ``upper - sorted`` followed by ``sorted - lower`` in one numpy
@@ -174,6 +177,7 @@ class AnomalyScorer:
         buf = np.empty(3 * n)
         buf[:n], buf[2 * n :] = _ecdf_steps(n)
         self._sorted = buf[n : 2 * n]  # the window's values, ascending, in [:len(window)]
+        self._sorted_list: list[float] = []  # the same values, ascending
         self._hi, self._lo = buf[: 2 * n], buf[n:]
         self._gaps = np.empty(2 * n)
         self.unifier = UnifierState()
@@ -192,8 +196,8 @@ class AnomalyScorer:
         """Seed the scorer with the first reference group's scores."""
         ref = _finite_scores(reference_scores)
         self.window.extend(loo_p_values(ref).tolist())
-        n = len(self.window)
-        self._sorted[:n] = np.sort(np.array(self.window))
+        self._sorted_list = sorted(self.window)
+        self._sorted[: len(self.window)] = self._sorted_list
         self._set_reference(ref)
         self._bootstrapped = True
 
@@ -215,26 +219,29 @@ class AnomalyScorer:
     def _slide(self, pv: float):
         """Append pv to the window, evicting the oldest value once it is full.
 
-        On a full window both positions are found in the whole buffer, and
-        the entries between them move one place towards the evicted one's.
-        Equal values are equal bits (p-values are never -0.0 or NaN), so
-        any sorted order of the same values is this one.
+        ``bisect`` on the list mirror finds both positions, as
+        ``searchsorted`` on the buffer would (the same comparisons of the
+        same values). On a full window the entries of the buffer between
+        them move one place towards the evicted one's. Equal values are
+        equal bits (p-values are never -0.0 or NaN), so any sorted order of
+        the same values is this one.
         """
-        srt = self._sorted
+        srt, ranked = self._sorted, self._sorted_list
         n = len(self.window)
         if n == self.ks_window:
-            gap = srt.searchsorted(self.window[0])
-            pos = srt.searchsorted(pv, side="right")
+            gap = bisect_left(ranked, self.window[0])
+            pos = bisect_right(ranked, pv)
+            del ranked[gap]
             if pos > gap:  # the evicted value is at most pv
-                srt[gap : pos - 1] = srt[gap + 1 : pos]
-                srt[pos - 1] = pv
+                pos -= 1
+                srt[gap:pos] = srt[gap + 1 : pos + 1]
             else:
                 srt[pos + 1 : gap + 1] = srt[pos:gap]
-                srt[pos] = pv
         else:
-            pos = srt[:n].searchsorted(pv, side="right")
+            pos = bisect_right(ranked, pv)
             srt[pos + 1 : n + 1] = srt[pos:n]
-            srt[pos] = pv
+        srt[pos] = pv
+        ranked.insert(pos, pv)
         self.window.append(pv)
 
     def step(self, a_t: float) -> tuple[float, float, float]:

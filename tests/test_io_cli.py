@@ -821,6 +821,62 @@ class TestCli:
         assert capsys.readouterr().err == f"data error: {report}: not a grid report " \
                                           "(no list of pairs)\n"
 
+    @pytest.mark.parametrize("text, part", [
+        ('{"pairs": [], "manifest": 3}',
+         "manifest is not an object whose groups map datasets to labels"),
+        ('{"pairs": [], "manifest": {"groups": {"a": ["x"]}}}',
+         "manifest is not an object whose groups map datasets to labels"),
+        ('{"pairs": [3]}', "pair 0 is not an object"),
+        ('{"pairs": [{"dataset": "a"}]}', "pair 0 is not an object"),
+        ('{"pairs": [{"dataset": "a", "detector": "sw-nn", "roc_auc": 0.5, "nab": null}, '
+         '{"dataset": "a", "detector": "fr-nn", "roc_auc": "0.5", "nab": null}]}',
+         "pair 1 is not an object"),
+    ])
+    def test_report_with_malformed_parts_is_data_error(self, tmp_path, capsys, text, part):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        assert main(["report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {report}: not a grid report ({part}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, reason", [("directory", "it is a directory"),
+                                              ("binary", "not UTF-8 text")])
+    @pytest.mark.parametrize("argv", [
+        ["run", "{bad}"],
+        ["run", "{data}", "--labels", "{bad}"],
+        ["score", "{scores}", "--dataset", "{bad}"],
+        ["score", "{bad}", "--dataset", "{data}"],
+        ["score", "{scores}", "--dataset", "{data}", "--labels", "{bad}"],
+        ["characterize", "{bad}"],
+        ["characterize", "{data}", "--labels", "{bad}"],
+        ["report", "{bad}"],
+    ])
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys, monkeypatch, argv,
+                                            kind, reason):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe\x00 timestamp,value\n")
+        paths = {"bad": bad, "data": self._dataset(tmp_path), "scores": tmp_path / "s.csv"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {bad}: {reason}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["report", "{bad}"], ["run", "{data}", "--labels", "{bad}"]])
+    def test_json_that_does_not_parse_is_data_error_naming_the_file(self, tmp_path, capsys,
+                                                                     argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"pairs": [')
+        paths = {"bad": bad, "data": self._dataset(tmp_path)}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: not JSON (Expecting value: line 1 column 12")
+        assert err.count("\n") == 1
+
     def test_missing_file_is_data_error(self):
         assert main(["run", "no-such-file.csv"]) == 2
 

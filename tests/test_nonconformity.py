@@ -1,11 +1,15 @@
 import contextlib
+import copy
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import refstream.nonconformity as nonconformity
 from refstream.errors import DegenerateGroupError
 from refstream.nonconformity import (
     REACH_FLOOR,
@@ -14,7 +18,9 @@ from refstream.nonconformity import (
     NeighborIndex,
     _batch_lof,
     _distances,
+    _distinct_rows,
     _nearest,
+    _SlotStore,
     batch_knn_scores,
     batch_lof_scores,
     cc_score,
@@ -716,6 +722,62 @@ class TestLloydKmeans:
 # a coarse grid with both zeros makes duplicate centroids, tied distances
 # and signed-zero differences
 COARSE = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+# duplicate-heavy tables of one to three columns on that grid
+COARSE_ROWS = st.integers(1, 3).flatmap(lambda w: st.lists(
+    st.lists(COARSE, min_size=w, max_size=w), min_size=1, max_size=40))
+
+
+class TestDistinctRows:
+    @given(rows=COARSE_ROWS)
+    @settings(max_examples=300)
+    def test_rows_and_order_of_np_unique(self, rows):
+        feats = np.array(rows)
+        got, want = _distinct_rows(feats), np.unique(feats, axis=0)
+        # under ==, as np.unique keeps either sign of a zero
+        assert got.shape == want.shape
+        assert (got == want).all()
+
+    @given(rows=COARSE_ROWS)
+    @settings(max_examples=200)
+    def test_keeps_the_first_arrival_of_each_row(self, rows):
+        feats = np.array(rows)
+        for row in _distinct_rows(feats):
+            first = feats[(feats == row).all(axis=1)][0]
+            assert row.tobytes() == first.tobytes()
+
+    @given(rows=COARSE_ROWS, n_clusters=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_rng_state_after_kmeans_equals_the_np_unique_oracle(self, rows, n_clusters, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        lloyd_kmeans(np.array(rows), n_clusters, rng)
+        loop_lloyd_kmeans(np.array(rows), n_clusters, oracle_rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @given(points=st.lists(st.tuples(COARSE, COARSE), min_size=1, max_size=50),
+           n_clusters=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_sign_of_a_seeded_zero_reaches_no_record(self, points, n_clusters, seed):
+        # the same stream with every zero of every seed table negated: the
+        # scores, member scores, bound and baseline keep their bits
+        def flipped(feats):
+            rows = _distinct_rows(feats)
+            return rows * np.where(rows == 0.0, -1.0, 1.0)
+
+        def run():
+            model = ClusterModel(n_clusters, 0.05, np.random.default_rng(seed))
+            out = []
+            for ident, p in enumerate(points):
+                if ident >= 8:
+                    out.append(model.score(p))
+                    model.remove(ident - 8)
+                model.insert(ident, p)
+                out += [model.member_scores().tobytes(), model._bound, model._baseline,
+                        model.recompute_count]
+            return [struct.pack("<d", v) if isinstance(v, float) else v for v in out]
+
+        want = run()
+        with mock.patch.object(nonconformity, "_distinct_rows", flipped):
+            assert run() == want
 
 
 class TestClusterScore:
@@ -740,7 +802,7 @@ class TestClusterScore:
         centroids, x = np.array(case[0]), np.array(case[1])
         want = _distances(centroids, x)
         assert np.float64(cc_score(x, centroids)).tobytes() == want.min().tobytes()
-        assert _nearest(centroids, x) == (want.argmin(), want.min())
+        assert _nearest(centroids.tolist(), x.tolist()) == (want.argmin(), want.min())
 
     def test_first_nan_distance_wins_as_in_numpy(self):
         # inf - inf makes a NaN distance; numpy's min and argmin stop at the
@@ -752,7 +814,7 @@ class TestClusterScore:
             centroids = np.array(rows)
             with np.errstate(invalid="ignore"):
                 want = _distances(centroids, x)
-            got = _nearest(centroids, x)
+            got = _nearest(centroids.tolist(), x.tolist())
             assert got[0] == want.argmin()
             assert np.float64(got[1]).tobytes() == want.min().tobytes()
 
@@ -804,7 +866,7 @@ class TestClusterModel:
                 victim = next(iter(alive))
                 model.remove(victim)
                 del alive[victim]
-            assert model._counts.sum() == len(alive)
+            assert sum(model._counts) == len(alive)
 
     @given(st.lists(st.tuples(COARSE, COARSE),
                     min_size=4, max_size=30))
@@ -826,7 +888,7 @@ class TestClusterModel:
         with pytest.raises(DegenerateGroupError, match="entry 1 already in"):
             model.insert(1, (5.0, 5.0))
         assert len(model) == 2
-        assert model._counts.sum() == 2
+        assert sum(model._counts) == 2
         assert len(model.member_scores()) == 2
 
     def test_member_scores_are_centroid_distances(self):
@@ -942,6 +1004,149 @@ class TestClusterDriftBound:
             assert model._bound == pytest.approx(want, rel=1e-14, abs=0)
         assert model.recompute_count == 1
         assert model._bound >= summed_distance(model)
+
+
+class ArrayClusterModel(_SlotStore):
+    """``ClusterModel`` with its per-cluster state in numpy arrays, as its oracle.
+
+    The update formulas are those the list state replaced: the nearest
+    centroid by numpy's argmin, running sums and counts updated in place,
+    and each centroid their quotient. The drift check and the recluster
+    are the model's own.
+    """
+
+    _WHAT = "cluster model"
+    _SLOT_FILLS = {"_assign": -1}
+
+    def __init__(self, n_clusters, recompute_factor, rng):
+        super().__init__()
+        self.n_clusters, self.recompute_factor, self.rng = n_clusters, recompute_factor, rng
+        self.centroids = self._sums = np.empty((0, 0))
+        self._counts = np.empty(0, dtype=np.int64)
+        self._baseline, self._bound, self.recompute_count = None, 0.0, 0
+        self._assign = np.empty(0, dtype=np.int64)
+
+    _check_drift = ClusterModel._check_drift
+    _SLACK = ClusterModel._SLACK
+
+    def insert(self, ident, feature):
+        x = np.asarray(feature, dtype=float)
+        slot = self._claim(ident, x)
+        if self.centroids.shape[1] != x.size:
+            self.centroids, self._sums = np.empty((0, x.size)), np.empty((0, x.size))
+        if len(self.centroids) < self.n_clusters and self._baseline is None:
+            self.centroids = np.vstack([self.centroids, x])
+            self._sums = np.vstack([self._sums, x])
+            self._counts = np.append(self._counts, 1)
+            self._assign[slot] = len(self.centroids) - 1
+        else:
+            c = _distances(self.centroids, x).argmin()
+            self._assign[slot] = c
+            n_old = int(self._counts[c])
+            self._sums[c] += x
+            self._counts[c] += 1
+            new = self._sums[c] / self._counts[c]
+            shift = math.dist(new, self.centroids[c])
+            self.centroids[c] = new
+            self._bound += (math.dist(x, new) + n_old * shift) * (1.0 + self._SLACK)
+        self._check_drift()
+
+    def remove(self, ident):
+        slot = self._release(ident)
+        c = self._assign[slot]
+        x = self._X[slot]
+        gone = math.dist(x, self.centroids[c])
+        self._sums[c] -= x
+        self._counts[c] -= 1
+        n_left = int(self._counts[c])
+        shift = 0.0
+        if n_left > 0:
+            new = self._sums[c] / self._counts[c]
+            shift = math.dist(new, self.centroids[c])
+            self.centroids[c] = new
+        self._bound += n_left * shift * (1.0 + self._SLACK) - gone * (1.0 - self._SLACK)
+        self._check_drift()
+
+    def _mean_distance(self):
+        if not self._order_slots:
+            self._bound = 0.0
+            return 0.0
+        rows = self._rows()
+        assigned = self.centroids[self._assign[rows]]
+        mean = float(_distances(self.member_features(), assigned).mean())
+        self._bound = mean * rows.size * (1.0 + self._SLACK)
+        return mean
+
+    def recluster(self):
+        self.centroids, assign, self._sums, self._counts = lloyd_kmeans(
+            self.member_features(), self.n_clusters, self.rng)
+        self._assign[self._rows()] = assign
+        self.recompute_count += 1
+        self._baseline = self._mean_distance()
+
+    def score(self, feature):
+        return float(_distances(self.centroids, np.asarray(feature, dtype=float)).min())
+
+
+def assert_same_cluster_state(model, twin):
+    bits = struct.Struct("<d").pack
+    assert model.centroids.tobytes() == twin.centroids.tobytes()
+    assert model.centroids.shape == twin.centroids.shape
+    assert np.array(model._sums, dtype=float).tobytes() == twin._sums.tobytes()
+    assert model._counts == twin._counts.tolist()
+    assert np.array_equal(model._assign[model._rows()], twin._assign[twin._rows()])
+    assert bits(model._bound) == bits(twin._bound)
+    assert (model._baseline is None) == (twin._baseline is None)
+    if model._baseline is not None:
+        assert bits(model._baseline) == bits(twin._baseline)
+    assert model.recompute_count == twin.recompute_count
+
+
+def run_cluster_twins(ops, n_clusters, factor, seed):
+    """Apply (op, a, b, pick) steps to a model and its array twin, comparing after each.
+
+    Returns whether some cluster was left empty along the way.
+    """
+    model = ClusterModel(n_clusters, factor, np.random.default_rng(seed))
+    twin = ArrayClusterModel(n_clusters, factor, np.random.default_rng(seed))
+    alive, arrivals, emptied = [], 0, False
+    for op, a, b, pick in ops:
+        feature = (a / 2, b / 2)
+        if op == "score" and len(model.centroids):
+            bits = struct.Struct("<d").pack
+            assert bits(model.score(feature)) == bits(twin.score(feature))
+        elif op == "remove" and alive:
+            victim = alive.pop(pick % len(alive))
+            model.remove(victim)
+            twin.remove(victim)
+        else:
+            model.insert(arrivals, feature)
+            twin.insert(arrivals, feature)
+            alive.append(arrivals)
+            arrivals += 1
+        assert_same_cluster_state(model, twin)
+        emptied |= 0 in model._counts
+    return emptied
+
+
+class TestClusterModelArrayTwin:
+    @given(ops=st.lists(st.tuples(st.sampled_from(["insert", "remove", "score"]),
+                                  COARSE, COARSE, st.integers(0, 99)), max_size=80),
+           n_clusters=st.integers(1, 4), factor=st.sampled_from([0.05, 0.25, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_list_state_is_bitwise_the_array_state(self, ops, n_clusters, factor, seed):
+        run_cluster_twins(ops, n_clusters, factor, seed)
+
+    def test_emptied_cluster_and_first_clusters(self):
+        # three members open three clusters at a zero baseline, so the next
+        # insert reclusters; a removal then empties a cluster, a score meets
+        # its kept centroid, and an insert joins it again from zero members
+        ops = [("insert", 0, 0, 0), ("insert", 8, 0, 0), ("insert", 0, 8, 0),
+               ("score", 1, 1, 0), ("insert", 1, 0, 0), ("remove", 0, 0, 1),
+               ("score", 7, 0, 0), ("remove", 0, 0, 0), ("score", 0, 7, 0),
+               ("insert", 16, 16, 0), ("score", 16, 15, 0)]
+        assert run_cluster_twins(ops, 3, 1e6, 5)
 
 
 class TestFeatureWidth:

@@ -277,6 +277,7 @@ class TestAnomalyScorer:
 
         scorer = self._scorer(refs, ks_window=ks_window, test_period=test_period)
         window = deque(loo_p_values(refs).tolist(), maxlen=ks_window)
+        assert scorer._sorted_list == sorted(window)
         unifier = UnifierState()
         significance = 1.0
         for i, a in enumerate(stream):
@@ -289,6 +290,8 @@ class TestAnomalyScorer:
             # the slide keeps the buffer sorted, also with ties at the
             # evicted and the inserted value
             assert scorer._sorted[: len(window)].tolist() == sorted(window)
+            # and so does the list mirror that the slide bisects
+            assert scorer._sorted_list == sorted(window)
 
     @given(st.lists(st.one_of(
         st.tuples(st.just("step"), st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, math.nan])),
