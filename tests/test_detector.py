@@ -14,7 +14,7 @@ from refstream.detector import (
 from refstream.errors import ConfigError, DataError
 from refstream.learning import AnomalyAwareReservoir, ares_weight
 from refstream.nonconformity import FrequencyMeasure
-from refstream.synthetic import gaussian_stream
+from refstream.synthetic import benchmark_stream, gaussian_stream
 
 
 def stream(values):
@@ -153,6 +153,20 @@ class TestStreamContracts:
         det = build_detector(named_config("sw-nn", rep_window=1, k=3), n_points=100)
         with pytest.raises(DataError, match="non-finite"):
             det.process(StreamPoint(1, math.nan))
+
+    def test_overflowed_window_scores_nan_in_small_and_large_stores(self):
+        # finite values whose window statistics overflow: at t=306 the
+        # query's distances to the group are NaN, so its LOF is NaN and
+        # its p-value 0 whether the group is a small store (w=60) or a
+        # large one (w=100), not LOF 0 and p 1 in the large store
+        values, _ = benchmark_stream(400, seed=3, kind="drift")
+        values[300:304] = (1.7e308, 1.7e308, -1.7e308, -1.7e308)
+        for w in (60, 100):
+            config = named_config("fr-den", window=w, probation_len=w, ks_window=w)
+            with np.errstate(all="ignore"):
+                records = build_detector(config, n_points=400).run(stream(values))
+            record = next(r for r in records if r.timestamp == 306)
+            assert math.isnan(record.nonconformity) and record.p_value == 0.0, w
 
     def test_run_adds_timestamp_context(self):
         det = build_detector(named_config("sw-nn", rep_window=1, k=3), n_points=100)

@@ -19,6 +19,7 @@ from refstream.nonconformity import (
     _batch_lof,
     _distances,
     _distinct_rows,
+    _first_by_distance,
     _nearest,
     _SlotStore,
     batch_knn_scores,
@@ -332,24 +333,32 @@ def check_churn(k, mode, ops):
                 assert idx.score(query) == lof_score(query, feats, k)
             else:
                 assert idx.score(query) == knn_score(query, feats, k)
-        # a large store's rows list its min(k, m - 1) nearest members by
-        # (distance, arrival); the cached_* views build them, so read before
+        # the cached_* views build a large store's rows, so read before
         # looking. A small store keeps none.
         idx.cached_kdistances()
         if idx._small():
             assert not idx._built
             continue
-        n = min(k, len(alive) - 1)
-        assert ((idx._nbr[idx._rows()] != -1).sum(axis=1) == n).all()
-        ident_of = {slot: ident for ident, slot in idx._slot_of.items()}
-        for i, ident in enumerate(alive):
-            d = np.sqrt(((feats - feats[i]) ** 2).sum(axis=1))
-            want = sorted((d[j], j) for j in range(len(alive)) if j != i)[:k]
-            slot = idx._slot_of[ident]
-            got = [ident_of[s] for s in idx._nbr[slot, :n].tolist()]
-            assert got == [alive[j] for _, j in want]
-            assert idx._nbrd[slot, :n].tolist() == [dist for dist, _ in want]
-            assert (idx._nbr[slot, n:] == -1).all()
+        assert_rows_by_distance_then_arrival(idx, alive)
+
+
+def assert_rows_by_distance_then_arrival(idx, alive):
+    """A built store's rows list its min(k, m - 1) nearest members by (distance, arrival).
+
+    ``alive`` lists the member ids in arrival order; features are finite.
+    """
+    feats, k = idx.member_features(), idx.k
+    n = min(k, len(alive) - 1)
+    assert ((idx._nbr[idx._rows()] != -1).sum(axis=1) == n).all()
+    ident_of = {slot: ident for ident, slot in idx._slot_of.items()}
+    for i, ident in enumerate(alive):
+        d = np.sqrt(((feats - feats[i]) ** 2).sum(axis=1))
+        want = sorted((d[j], j) for j in range(len(alive)) if j != i)[:k]
+        slot = idx._slot_of[ident]
+        got = [ident_of[s] for s in idx._nbr[slot, :n].tolist()]
+        assert got == [alive[j] for _, j in want]
+        assert idx._nbrd[slot, :n].tolist() == [dist for dist, _ in want]
+        assert (idx._nbr[slot, n:] == -1).all()
 
 
 class TestNeighborIndexChurn:
@@ -448,6 +457,24 @@ def check_build_spanning_several_blocks(mode):
     assert np.array_equal(lazy.member_scores(), lazy.recompute_member_scores())
 
 
+def check_ties_across_several_blocks(k, mode):
+    # over 2 * _BUILD_ROWS members on a 3x3 grid: about 15 coincident
+    # members per point, so every k-th distance ties with dozens of
+    # members in every build block; ids fall as arrivals rise
+    rng = np.random.default_rng(31 + k)
+    idx = NeighborIndex(k, mode=mode)
+    alive = list(range(1000, 1000 - 2 * NeighborIndex._BUILD_ROWS - 10, -1))
+    for ident in alive:
+        idx.insert(ident, rng.integers(0, 3, size=2) / 2)
+    assert not idx._small() and not idx._built
+    for step in range(4):
+        assert np.array_equal(idx.member_scores(), idx.recompute_member_scores())
+        assert idx._built
+        assert_rows_by_distance_then_arrival(idx, alive)
+        for _ in range(5):  # each removal repairs the rows that listed the member
+            idx.remove(alive.pop(int(rng.integers(len(alive)))))
+
+
 class TestNeighborIndexFirstReadBuild:
     @given(**INDEX_ARGS, first_read=st.sampled_from(READS), ops=GRID_OPS)
     @settings(max_examples=150, deadline=None)
@@ -468,6 +495,82 @@ class TestNeighborIndexFirstReadBuild:
     def test_build_spanning_several_blocks_repairing_every_removal(self, mode):
         with repair_every_removal():
             check_build_spanning_several_blocks(mode)
+
+    @pytest.mark.parametrize("mode", ["distance", "density"])
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_ties_across_several_blocks(self, k, mode):
+        check_ties_across_several_blocks(k, mode)
+
+
+# entries with ties, infinities and NaNs, which sort last
+BLOCK_VALUE = st.sampled_from([0.0, 0.5, 1.0, 1.0, math.inf, math.nan])
+
+
+class TestFirstByDistance:
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 12), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_stable_sort_of_whole_rows(self, rows, cols, data):
+        dist = np.array(data.draw(st.lists(BLOCK_VALUE, min_size=rows * cols,
+                                           max_size=rows * cols))).reshape(rows, cols)
+        take = data.draw(st.integers(1, cols))
+        want = np.argsort(dist, axis=1, kind="stable")[:, :take]
+        got = _first_by_distance(dist, take)
+        assert np.array_equal(got, want + np.arange(0, dist.size, cols)[:, None])
+
+
+def stable_sort_rows(idx):
+    """A built store's rows as a stable sort of each member's whole distance row gives them."""
+    feats, rows = idx.member_features(), idx._rows()
+    with np.errstate(invalid="ignore"):
+        dist = _distances(feats[:, None, :], feats[None, :, :])
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, : min(idx.k, rows.size - 1)]
+    return rows.take(order), np.take_along_axis(dist, order, axis=1)
+
+
+class TestNonFiniteDistances:
+    @pytest.mark.parametrize("mode", ["distance", "density"])
+    @pytest.mark.parametrize("finite_first", [True, False])
+    def test_rows_with_nan_distances_equal_a_stable_sort(self, mode, finite_first):
+        # coincident (inf, 0) members are NaN apart and inf from the finite
+        # one, so most rows have fewer than k numeric entries
+        points = [(1.0, 2.0)] + [(math.inf, 0.0)] * 7
+        if not finite_first:
+            points = points[1:] + points[:1]
+        with repair_every_removal(), np.errstate(invalid="ignore"):
+            idx = NeighborIndex(3, mode=mode)
+            for ident, p in enumerate(points):
+                idx.insert(ident, p)
+            for victim in (None, 3, 0):
+                if victim is not None:
+                    idx.remove(victim)
+                got = idx.member_scores()
+                assert idx._built
+                assert np.array_equal(got, idx.recompute_member_scores(), equal_nan=True)
+                nbr, nbrd = stable_sort_rows(idx)
+                rows = idx._rows()
+                assert np.array_equal(idx._nbr[rows, : nbr.shape[1]], nbr)
+                assert np.array_equal(idx._nbrd[rows, : nbr.shape[1]], nbrd, equal_nan=True)
+
+    @pytest.mark.parametrize("small", [True, False])
+    @pytest.mark.parametrize("query, n_inf", [((math.nan, 0.0), 0), ((math.inf, 0.0), 16),
+                                              ((math.inf, 0.0), 3)])
+    def test_density_query_with_nan_distances_equals_lof_score(self, small, query, n_inf):
+        # a NaN query is NaN from every member; an (inf, 0) query is NaN
+        # from the (inf, 0) members, so with 16 of 20 fewer than k = 5
+        # distances are numbers, and with 3 of 20 the NaNs sort past the k-th
+        rng = np.random.default_rng(5)
+        points = [tuple(p) for p in rng.integers(0, 4, size=(20 - n_inf, 2)) / 2]
+        points += [(math.inf, 0.0)] * n_inf
+        with pytest.MonkeyPatch.context() as monkeypatch, np.errstate(all="ignore"):
+            if not small:
+                monkeypatch.setattr(NeighborIndex, "_MATRIX_SLOTS", 0)
+            idx = NeighborIndex(5, mode="density")
+            for ident, p in enumerate(points):
+                idx.insert(ident, p)
+            assert idx._small() == small
+            got, want = idx.score(query), lof_score(query, idx.member_features(), 5)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 # a coarse 2-D grid: duplicate members, and ties at every neighbour rank
