@@ -130,7 +130,7 @@ def _cmd_grid(args) -> int:
 def _cmd_score(args) -> int:
     labels = load_label_file(args.labels) if args.labels else None
     bundle = load_csv(args.dataset, labels=labels)
-    rows = read_score_csv(args.scores)
+    rows = read_score_csv(args.scores, bundle)
     auc, nab, _ = evaluate_records(rows, bundle, args.profile)
     print(json.dumps({
         "dataset": bundle.name,
@@ -156,7 +156,7 @@ def _cmd_characterize(args) -> int:
     if args.scores_dir:
         # sorted paths fix the order the anomaly scores are pooled in
         paths = sorted(Path(args.scores_dir).glob(f"{bundle.name}__*.csv"))
-        runs = [evaluate_records(read_score_csv(path), bundle) for path in paths]
+        runs = [evaluate_records(read_score_csv(path, bundle), bundle) for path in paths]
         mean_score = difficulty(anomaly_scores for _, _, anomaly_scores in runs)
         result["difficulty_mean_score"] = mean_score
         result["difficulty"] = None if mean_score is None else 1.0 - mean_score

@@ -99,8 +99,12 @@ def write_score_csv(path, records) -> Path:
     return path
 
 
-def read_score_csv(path) -> list[ScoreRow]:
-    """The rows of a score CSV; a malformed row is a DataError naming its file and line."""
+def read_score_csv(path, dataset: DatasetBundle | None = None) -> list[ScoreRow]:
+    """The rows of a score CSV; a malformed row is a DataError naming its file and line.
+
+    Given the dataset the file is scored against, a timestamp outside its
+    1..T is one too: the file was scored on another dataset.
+    """
     rows = []
     with open_input(path) as fh:
         header = fh.readline().strip().split(",")
@@ -122,6 +126,9 @@ def read_score_csv(path) -> list[ScoreRow]:
                 raise DataError(f"{path}:{lineno}: flagged must be 0 or 1, got {parts[4]!r}")
             if not math.isfinite(row.final_score):
                 raise DataError(f"{path}:{lineno}: non-finite final_score {parts[3]!r}")
+            if dataset is not None and not 1 <= row.timestamp <= dataset.n_points:
+                raise DataError(f"{path}:{lineno}: timestamp {row.timestamp} outside 1.."
+                                f"{dataset.n_points}, the points of dataset {dataset.name!r}")
             if rows and row.timestamp <= rows[-1].timestamp:
                 raise DataError(f"{path}:{lineno}: timestamp {row.timestamp} does not follow "
                                 f"{rows[-1].timestamp}")

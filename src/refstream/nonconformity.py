@@ -36,12 +36,11 @@ of the reduction itself. The k-means model's per-point work leaves
 numpy: over a handful of centroids, numpy's per-call cost exceeds the
 arithmetic. ``ClusterModel`` keeps each cluster's centroid, sum and count
 as Python numbers, and ``_nearest``, the centroid nearest to one point
-(``cc_score``, ``ClusterModel.score`` and ``insert``), reads them as they
-are. Both make the subtractions, squares, column-order sums, quotients
-and square roots numpy would, each one IEEE operation, and ``_nearest``
-picks the minimum as ``min`` and ``argmin`` do, bit for bit. Work over
-the whole group (member scores, the exact drift mean, k-means) stays in
-numpy.
+(``ClusterModel.score`` and ``insert``), reads them as they are. Both
+make the subtractions, squares, column-order sums, quotients and square
+roots numpy would, each one IEEE operation, and ``_nearest`` picks the
+minimum as ``min`` and ``argmin`` do, bit for bit. Work over the whole
+group (member scores, the exact drift mean, k-means) stays in numpy.
 
 Neighbour ordering is deterministic everywhere, by one rule: every
 structure sees its members in arrival order, whatever ids the caller
@@ -106,15 +105,6 @@ def _pairwise(features: np.ndarray) -> np.ndarray:
     return _distances(features[:, None, :], features[None, :, :])
 
 
-def knn_score(x, features, k: int) -> float:
-    """Mean distance from x to its k nearest entries of the group."""
-    feats = np.asarray(features, dtype=float)
-    if len(feats) < k:
-        raise DegenerateGroupError(f"need at least k={k} entries, have {len(feats)}")
-    d = _distances(feats, np.asarray(x, dtype=float))
-    return float(np.partition(d, k - 1)[:k].mean())
-
-
 def batch_knn_scores(features, k: int) -> np.ndarray:
     """Leave-one-out average k-NN distance of every member, in given order."""
     feats = np.asarray(features, dtype=float)
@@ -135,7 +125,7 @@ def _block_knn(dist: np.ndarray, k: int):
     are bitwise those the incremental index keeps.
     """
     near = np.sort(np.partition(dist, k - 1, axis=1)[:, :k], axis=1)
-    return near[:, -1], near.sum(axis=1) / k
+    return near[:, -1], np.add.reduce(near, axis=1) / k
 
 
 def _rowwise_take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -175,12 +165,12 @@ def _block_lof(dist: np.ndarray, k: int):
     divides the same sum by the count, so this is bitwise ``mean(axis=1)``
     without the per-call cost of its Python wrapper.
     """
-    nbr = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    nbr = dist.argsort(axis=1, kind="stable")[:, :k]
     nd = _rowwise_take(dist, nbr)
     kdist = nd[:, -1]
     reach = np.maximum(np.maximum(kdist.take(nbr), nd), REACH_FLOOR)
-    lrd = 1.0 / (reach.sum(axis=1) / k)
-    return kdist, lrd, lrd.take(nbr).sum(axis=1) / k / lrd
+    lrd = 1.0 / (np.add.reduce(reach, axis=1) / k)
+    return kdist, lrd, np.add.reduce(lrd.take(nbr), axis=1) / k / lrd
 
 
 def _query_lof(d: np.ndarray, kdist: np.ndarray, lrd: np.ndarray, k: int) -> float:
@@ -189,31 +179,18 @@ def _query_lof(d: np.ndarray, kdist: np.ndarray, lrd: np.ndarray, k: int) -> flo
     Takes their distances to the query, their k-distances and their LRDs.
     """
     reach = np.maximum(np.maximum(kdist, d), REACH_FLOOR)
-    return float(lrd.sum() / k / (1.0 / (reach.sum() / k)))
+    return float(np.add.reduce(lrd) / k / (1.0 / (np.add.reduce(reach) / k)))
 
 
-def _batch_lof(features, k: int):
-    """Members in arrival order, with their k-distances, LRDs and LOFs."""
+def batch_lof_scores(features, k: int) -> np.ndarray:
+    """Local outlier factor of every member, in given order."""
     feats = np.asarray(features, dtype=float)
     m = len(feats)
     if m < k + 1:
         raise DegenerateGroupError(f"need at least k+1={k + 1} entries, have {m}")
     dist = _pairwise(feats)
     np.fill_diagonal(dist, np.inf)
-    return (feats, *_block_lof(dist, k))
-
-
-def batch_lof_scores(features, k: int) -> np.ndarray:
-    """Local outlier factor of every member, in given order."""
-    return _batch_lof(features, k)[3]
-
-
-def lof_score(x, features, k: int) -> float:
-    """LOF of a query point (not a member) against the group."""
-    feats, kdist, lrd, _ = _batch_lof(features, k)
-    d = _distances(feats, np.asarray(x, dtype=float))
-    nn = np.argsort(d, kind="stable")[:k]
-    return _query_lof(d.take(nn), kdist.take(nn), lrd.take(nn), k)
+    return _block_lof(dist, k)[2]
 
 
 def _nearest(centroids: list, x: list) -> tuple[int, float]:
@@ -242,14 +219,6 @@ def _nearest(centroids: list, x: list) -> tuple[int, float]:
         if dc < dist:
             best, dist = i, dc
     return best, dist
-
-
-def cc_score(x, centroids) -> float:
-    """Distance from x to the nearest cluster centroid."""
-    cents = np.asarray(centroids, dtype=float)
-    if cents.size == 0:
-        raise DegenerateGroupError("cluster model has no centroids")
-    return _nearest(cents.tolist(), np.asarray(x, dtype=float).tolist())[1]
 
 
 def _distinct_rows(feats: np.ndarray) -> np.ndarray:
@@ -291,14 +260,14 @@ def lloyd_kmeans(features, n_clusters: int, rng: np.random.Generator, max_iter: 
     assign = None
     for _ in range(max_iter):
         new_assign = _squared_distances(rows, centroids[None, :, :]).argmin(axis=1)
-        if assign is not None and (new_assign == assign).all():
+        if assign is not None and np.logical_and.reduce(new_assign == assign):
             break
         assign = new_assign
         # unbuffered, so each cluster sums its members in arrival order
         sums = np.zeros_like(centroids)
         np.add.at(sums, assign, feats)
         counts = np.bincount(assign, minlength=kk)
-        if counts.all():
+        if np.logical_and.reduce(counts):
             centroids = sums / counts[:, None]
         else:  # an emptied cluster keeps its previous centroid
             filled = counts > 0
@@ -413,11 +382,11 @@ class NeighborIndex(_SlotStore):
     makes the matrix, sized to the highest slot in use rounded up to a
     power of two (a 30-member group holds 32 x 32); each insert writes its
     row and column; removals leave stale entries that no read reaches.
-    Every read (``member_scores``, a density ``score``, the ``cached_*``
-    views) comes from ``_batch``: the group's block gathered from the
-    matrix in arrival order, and from it every k-distance and average k-NN
-    distance (``_block_knn``) or every k-distance, LRD and LOF
-    (``_block_lof``), in one batch kept until the group changes. These are
+    Every read (``member_scores``, a density ``score``) comes from
+    ``_batch``: the group's block gathered from the matrix in arrival
+    order, and from it every k-distance and average k-NN distance
+    (``_block_knn``) or every k-distance, LRD and LOF (``_block_lof``),
+    in one batch kept until the group changes. These are
     bitwise the values rows would hold. At these sizes the batch costs
     less than repairing rows: a sliding step (``score``, remove, insert,
     ``member_scores``; k = 10; drift features) at 30, 49 and 60 members
@@ -574,7 +543,7 @@ class NeighborIndex(_SlotStore):
         if len(self) <= self.k:
             self._lrd[changed] = self._score[changed] = np.nan
         elif self.mode == "distance":
-            self._score[changed] = self._nbrd.take(changed, axis=0).sum(axis=1) / self.k
+            self._score[changed] = np.add.reduce(self._nbrd.take(changed, axis=0), axis=1) / self.k
         else:
             self._density_cascade(changed)
 
@@ -589,17 +558,17 @@ class NeighborIndex(_SlotStore):
             rows = self._nbr.take(members, axis=0)
             reach = np.zeros(self._cap, dtype=bool)
             reach[changed] = True
-            reach[members[reach.take(rows).any(axis=1)]] = True
+            reach[members[np.logical_or.reduce(reach.take(rows), axis=1)]] = True
             s_lrd = reach.nonzero()[0]
-            reach[members[reach.take(rows).any(axis=1)]] = True
+            reach[members[np.logical_or.reduce(reach.take(rows), axis=1)]] = True
             s_lof = reach.nonzero()[0]
         nbr = self._nbr.take(s_lrd, axis=0)
         reach_d = np.maximum(np.maximum(self._nbrd[:, -1].take(nbr),
                                         self._nbrd.take(s_lrd, axis=0)), REACH_FLOOR)
-        self._lrd[s_lrd] = 1.0 / (reach_d.sum(axis=1) / self.k)
+        self._lrd[s_lrd] = 1.0 / (np.add.reduce(reach_d, axis=1) / self.k)
         lrd = self._lrd
-        self._score[s_lof] = (lrd.take(self._nbr.take(s_lof, axis=0)).sum(axis=1) / self.k
-                              / lrd.take(s_lof))
+        self._score[s_lof] = (np.add.reduce(lrd.take(self._nbr.take(s_lof, axis=0)), axis=1)
+                              / self.k / lrd.take(s_lof))
 
     def insert(self, ident: int, feature):
         x = np.asarray(feature, dtype=float)
@@ -621,7 +590,7 @@ class NeighborIndex(_SlotStore):
         if not self._built:
             return
 
-        order = np.argsort(d, kind="stable")[: self.k]
+        order = d.argsort(kind="stable")[: self.k]
         self._nbr[slot] = -1
         self._nbrd[slot] = np.inf
         self._nbr[slot, : order.size] = members.take(order)
@@ -635,11 +604,11 @@ class NeighborIndex(_SlotStore):
         hit = ((d < self._nbrd[:, -1].take(members)) | (nvalid < self.k)).nonzero()[0]
         rows, dr = members.take(hit), d.take(hit)[:, None]
         nbr, nbrd = self._nbr.take(rows, axis=0), self._nbrd.take(rows, axis=0)
-        pos = np.minimum((nbrd <= dr).sum(axis=1), nvalid)[:, None]
+        pos = np.minimum(np.add.reduce(nbrd <= dr, axis=1), nvalid)[:, None]
         before, at = self._col < pos, self._col == pos
         self._nbr[rows] = np.where(before, nbr, np.where(at, slot, nbr.take(self._prev, axis=1)))
         self._nbrd[rows] = np.where(before, nbrd, np.where(at, dr, nbrd.take(self._prev, axis=1)))
-        self._refresh(np.append(rows, slot))
+        self._refresh(np.concatenate((rows, [slot])))
 
     def remove(self, ident: int):
         slot = self._release(ident)
@@ -648,7 +617,7 @@ class NeighborIndex(_SlotStore):
         if not self._built:
             return
         rows = self._rows()
-        hit = rows[(self._nbr.take(rows, axis=0) == slot).any(axis=1)]
+        hit = rows[np.logical_or.reduce(self._nbr.take(rows, axis=0) == slot, axis=1)]
         if hit.size:
             self._rebuild_rows(hit)
             self._refresh(hit)
@@ -665,10 +634,10 @@ class NeighborIndex(_SlotStore):
         d = _distances(self.member_features(), x)
         self._query = (x.tobytes(), self._arrivals, rows, d)  # for an insert of x
         if self.mode == "distance":
-            return float(np.partition(d, k - 1)[:k].sum() / k)
+            return float(np.add.reduce(np.partition(d, k - 1)[:k]) / k)
         if self._small():
             _, kdist, lrd, _ = self._batch()
-            nn = np.argsort(d, kind="stable")[:k]
+            nn = d.argsort(kind="stable")[:k]
             return _query_lof(d.take(nn), kdist.take(nn), lrd.take(nn), k)
         self._ensure_built()
         # the first k by (distance, arrival) all lie at or below the k-th
@@ -676,7 +645,7 @@ class NeighborIndex(_SlotStore):
         # above" keeps NaN distances, which sort last, when fewer than k
         # are numbers
         near = (~(d > np.partition(d, k - 1)[k - 1])).nonzero()[0]
-        order = near.take(np.argsort(d.take(near), kind="stable")[:k])
+        order = near.take(d.take(near).argsort(kind="stable")[:k])
         nn = rows.take(order)
         return _query_lof(d.take(order), self._nbrd[:, -1].take(nn), self._lrd.take(nn), k)
 
@@ -692,20 +661,6 @@ class NeighborIndex(_SlotStore):
         if self.mode == "distance":
             return batch_knn_scores(feats, self.k)
         return batch_lof_scores(feats, self.k)
-
-    # cache views used by the equivalence tests
-    def cached_kdistances(self) -> np.ndarray:
-        if self._small():
-            return self._batch()[1]
-        self._ensure_built()
-        return self._nbrd[:, -1].take(self._rows())
-
-    def cached_lrds(self) -> np.ndarray:
-        if self._small():
-            lrd = self._batch()[2]
-            return np.full(len(self), np.nan) if lrd is None else lrd
-        self._ensure_built()
-        return self._lrd.take(self._rows())
 
 
 class ClusterModel(_SlotStore):
@@ -861,7 +816,10 @@ class ClusterModel(_SlotStore):
         # leaves its square as it was, and the columns are summed in the
         # same order, so this is bitwise the (member, centroid) form; the
         # minimum then runs along the long contiguous axis, which at these
-        # sizes costs a fraction of the per-row reduction
+        # sizes costs a fraction of the per-row reduction; a model that
+        # never held a member has no width, so it gives no scores
+        if not self._cents:
+            return np.empty(0)
         return _distances(self.centroids[:, None, :], self.member_features()).min(axis=0)
 
     # the model itself is the state, so the exact refresh coincides with it

@@ -35,9 +35,9 @@ values in 8 interleaved accumulators combined as
 and longer runs split in two at a multiple of 8. Numpy adds that sum to
 the reduction's identity, 0.0, which turns an all-(-0.0) total into +0.0,
 so the kernel does too. Python evaluates every float operation on its own,
-with IEEE rounding and never fused, so every feature is bitwise numpy's;
-``paa`` and ``symbolize`` keep the numpy forms, which the tests compare
-against.
+with IEEE rounding and never fused, so every feature is bitwise numpy's:
+the tests compare each one with numpy's ``mean``, ``std`` and a numpy
+SAX (``tests/oracles.py``).
 
 The kernel's cost grows with the window, about 0.1 us per value for
 (mean, std) and 0.2 us for SAX, where numpy's barely moves. Per push,
@@ -185,49 +185,12 @@ def _moments(x: list) -> tuple[float, list, float]:
     return mean, d, math.sqrt(_pairwise_sum([e * e for e in d], 0, n) / n)
 
 
-def meanstd_transform(values) -> np.ndarray:
-    """Mean and population standard deviation of a full window."""
-    mean, _, std = _moments(np.asarray(values, dtype=float).tolist())
-    return np.array((mean, std))
-
-
-def paa(values, segments: int) -> np.ndarray:
-    """Piecewise aggregate approximation: means of equal-sized segments."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size % segments:
-        raise ConfigError(
-            f"window length {arr.size} is not divisible by {segments} segments"
-        )
-    return np.add.reduce(arr.reshape(segments, -1), axis=1) / (arr.size // segments)
-
-
-def symbolize(paa_values, alphabet_size: int, cuts: np.ndarray | None = None) -> str:
-    """Map PAA segment means to letters via equiprobable breakpoints."""
-    if cuts is None:
-        cuts = breakpoints(alphabet_size)
-    idx = np.searchsorted(cuts, np.asarray(paa_values, dtype=float), side="right")
-    return "".join([SAX_ALPHABET[i] for i in idx.tolist()])
-
-
-def sax_transform(
-    values, segments: int, alphabet_size: int, cuts: np.ndarray | None = None
-) -> str:
-    """SAX word for one subsequence.
-
-    A zero-variance subsequence cannot be z-normalised; every segment then
-    maps to the middle symbol (lower middle for even alphabets). A length
-    not divisible by ``segments`` is rejected either way.
-    """
-    x = np.asarray(values, dtype=float).tolist()
-    if len(x) % segments:
-        raise ConfigError(f"window length {len(x)} is not divisible by {segments} segments")
-    if cuts is None:
-        cuts = breakpoints(alphabet_size)
-    return _sax_word(x, segments, alphabet_size, cuts.tolist())
-
-
 def _sax_word(x: list, segments: int, alphabet_size: int, cuts: list) -> str:
-    """``sax_transform`` of a checked list of floats, with the cuts as a list."""
+    """SAX word of a window, a list of floats whose length ``segments`` divides.
+
+    A zero-variance window cannot be z-normalised; every segment then maps
+    to the middle symbol (lower middle for even alphabets).
+    """
     n = len(x)
     _, d, sd = _moments(x)
     # every value equals the first, as ``(x == x[0]).all()``; count also
@@ -289,9 +252,6 @@ class MeanStdFeatures:
         mean, _, std = _moments(x)
         return np.array((mean, std))
 
-    def buffer_len(self) -> int:
-        return len(self._buf)
-
 
 class SaxFeatures:
     """Streaming SAX words over overlapping subsequences of the last n values."""
@@ -319,9 +279,6 @@ class SaxFeatures:
         if x is None:
             return None
         return _sax_word(x, self.segments, self.alphabet_size, self._cuts)
-
-    def buffer_len(self) -> int:
-        return len(self._buf)
 
 
 def feature_tape(representation, values: Sequence[float]) -> tuple[int, np.ndarray | list]:

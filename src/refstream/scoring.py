@@ -21,14 +21,6 @@ from .errors import ConfigError, DegenerateGroupError
 SIGNIFICANCE_FLOOR = 1e-300
 
 
-def p_value(a_t: float, reference_scores) -> float:
-    """Fraction of reference nonconformity scores at least as large as a_t."""
-    ref = np.asarray(reference_scores)
-    if ref.size == 0:
-        raise DegenerateGroupError("reference score set is empty")
-    return float(np.count_nonzero(ref >= a_t) / ref.size)
-
-
 def loo_p_values(reference_scores) -> np.ndarray:
     """Leave-one-out p-value of each reference score against the others."""
     ref = np.asarray(reference_scores, dtype=float)
@@ -48,14 +40,6 @@ def _ecdf_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _sup_distance(p_sorted: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> float:
     return float(max(np.maximum.reduce(upper - p_sorted), np.maximum.reduce(p_sorted - lower), 0.0))
-
-
-def ks_statistic(p_values) -> float:
-    """Exact sup-distance between the empirical CDF of p-values and uniform."""
-    p = np.sort(np.asarray(p_values, dtype=float))
-    if p.size == 0:
-        raise DegenerateGroupError("empty p-value window")
-    return _sup_distance(p, *_ecdf_steps(p.size))
 
 
 def ks_significance(d: float, n: int) -> float:
@@ -253,7 +237,7 @@ class AnomalyScorer:
             ranked = self._ranked = np.sort(ref).tolist()
         self._unused = False
         if ranked is None or a_t != a_t:  # no score is at least NaN; bisect would count all
-            pv = np.count_nonzero(ref >= a_t) / ref.size  # p_value without its wrapper
+            pv = np.count_nonzero(ref >= a_t) / ref.size
         else:
             pv = (ref.size - bisect_left(ranked, a_t)) / ref.size
         self._slide(pv)

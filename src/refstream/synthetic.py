@@ -1,23 +1,8 @@
-"""Synthetic stream generators for experiments and the acceptance suite."""
+"""Synthetic labelled streams for experiments, benchmarks and the acceptance suite."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def gaussian_stream(n: int, seed: int, loc: float = 0.0, scale: float = 1.0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.normal(loc, scale, size=n)
-
-
-def level_shift_stream(
-    n: int, shift_at: int, magnitude: float, seed: int, scale: float = 1.0
-) -> np.ndarray:
-    """I.i.d. noise with a persistent level shift starting at ``shift_at``."""
-    rng = np.random.default_rng(seed)
-    values = rng.normal(0.0, scale, size=n)
-    values[shift_at - 1 :] += magnitude
-    return values
 
 
 def benchmark_stream(n: int, seed: int, kind: str = "drift"):

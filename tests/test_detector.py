@@ -4,6 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import gaussian_stream, naive_records
+from test_records import record_digest
+
+from refstream.datasets import DatasetBundle
 from refstream.detector import (
     DETECTOR_GRID,
     DetectorConfig,
@@ -14,7 +18,7 @@ from refstream.detector import (
 from refstream.errors import ConfigError, DataError
 from refstream.learning import AnomalyAwareReservoir, ares_weight
 from refstream.nonconformity import FrequencyMeasure
-from refstream.synthetic import benchmark_stream, gaussian_stream
+from refstream.synthetic import benchmark_stream
 
 
 def stream(values):
@@ -310,7 +314,7 @@ class TestMemoryBound:
         assert n == 22_695
         assert len(det.strategy) <= 150
         assert len(det.scorer.window) <= 150
-        assert det.representation.buffer_len() <= det.config.rep_window == 16
+        assert len(det.representation._buf) <= det.config.rep_window == 16
 
     def test_memory_highwater_independent_of_stream_length(self):
         def peak(n_points):
@@ -326,3 +330,43 @@ class TestMemoryBound:
 
         small, large = peak(3_000), peak(12_000)
         assert large < small * 1.5 + 200_000
+
+
+# 200 points: probation, window and K-S window all 30 at the defaults
+NAIVE_N = 200
+DRIFT = stream(benchmark_stream(NAIVE_N, seed=201, kind="drift")[0])
+PERIODIC = stream(benchmark_stream(NAIVE_N, seed=202, kind="periodic")[0])
+# runs of four repeats of a few levels, then a constant stretch: duplicate
+# features, distance ties, zero-variance windows and one-word SAX groups
+REPEATED = np.repeat(np.random.default_rng(203).integers(0, 4, NAIVE_N // 4) / 2, 4)
+REPEATED[100:140] = 1.0
+# case -> (config overrides, points, whether the features come from a replayed
+# tape, as a grid job reads them)
+NAIVE_CASES = {
+    "drift": ({}, DRIFT, False),
+    "periodic, replayed features": ({}, PERIODIC, True),
+    "repeated values": ({}, stream(REPEATED), False),
+    "test_period 3": ({"test_period": 3}, DRIFT, False),
+    "late bootstrap, t = p missing": ({}, [p for p in DRIFT if p.timestamp != 30], False),
+}
+
+
+class TestNaivePipeline:
+    """Each detector's records equal, bit for bit, those of the naive pipeline in tests/oracles.py."""
+
+    @pytest.mark.parametrize("name", DETECTOR_GRID)
+    def test_records_equal_the_naive_pipeline(self, name):
+        moved = []
+        for case, (overrides, points, replay) in NAIVE_CASES.items():
+            config = named_config(name, **overrides).resolve(NAIVE_N)
+            det = build_detector(config)
+            if replay:
+                bundle = DatasetBundle(case, np.array([v for _, v in points]), [], set())
+                det.representation = bundle.replay(det.representation)
+            got, want = det.run(points), naive_records(config, points)
+            pack = record_digest.RECORD.pack
+            differ = [a.timestamp for a, b in zip(got, want) if pack(*a) != pack(*b)]
+            if differ or len(got) != len(want):
+                moved.append(f"{case}: {len(got)} records against {len(want)}, {len(differ)} "
+                             f"differ, the first at t = {differ[0] if differ else None}")
+        assert not moved, f"{name}: {len(moved)} runs moved:\n" + "\n".join(moved)

@@ -1,5 +1,4 @@
 import json
-import math
 import multiprocessing
 import os
 import pickle
@@ -26,7 +25,6 @@ from refstream.errors import ConfigError, DataError
 from refstream.grid import (
     _CONFIG_LAYOUT,
     SCORE_COLUMNS,
-    ScoreRow,
     _job_seed,
     delta_table,
     expand_detectors,
@@ -195,6 +193,14 @@ class TestScoreFiles:
         p.write_text(",".join(SCORE_COLUMNS) + "\n31,1.0,0.5,0.1,0\n" + row + "\n")
         with pytest.raises(DataError, match=rf"^{re.escape(f'{p}:3: {message}')}$"):
             read_score_csv(p)
+
+    @pytest.mark.parametrize("t", [0, -3, 121])
+    def test_timestamp_outside_the_dataset_names_file_and_line(self, tmp_path, t):
+        bundle = load_csv(make_dataset(tmp_path / "b.csv", n=120))
+        p = tmp_path / "s.csv"
+        p.write_text(",".join(SCORE_COLUMNS) + f"\n{t},1.0,0.5,0.1,0\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(f'{p}:2: timestamp {t} outside 1..120')}"):
+            read_score_csv(p, bundle)
 
 
 class TestReferenceConfig:
@@ -552,6 +558,17 @@ class TestManifest:
         ]
         assert list(report["datasets"]) == ["ds0", "ds1"]
 
+    def test_group_empty_at_late_bootstrap_fails_every_job(self, tmp_path):
+        # 20 points give p = 3; the features warm up after it (t = 10, 16 for freq)
+        make_dataset(tmp_path / "short.csv", n=20, anomalies=())
+        (tmp_path / "m.ini").write_text("[manifest]\ndatasets = short.csv\noutput_dir = out\n")
+        report = run_grid(load_manifest(tmp_path / "m.ini"))
+        assert [f["detector"] for f in report["failures"]] == list(DETECTOR_GRID)
+        for f in report["failures"]:
+            t = 16 if f["detector"].endswith("freq") else 10
+            assert f["error"].startswith(f"DegenerateGroupError: at t={t}: reference group "
+                                         "of size 0 cannot seed the scorer"), f
+
     def test_each_dataset_is_loaded_once(self, tmp_path, monkeypatch):
         import refstream.grid as grid
 
@@ -646,14 +663,14 @@ class TestSharedFeatures:
         assert not report["failures"] and len(report["pairs"]) == 80
         kinds = [type(rep).__name__ for rep in pushed.values()]
         assert sorted(kinds) == ["MeanStdFeatures"] * 4 + ["SaxFeatures"] * 4
-        assert all(rep.buffer_len() == rep.window for rep in pushed.values())
+        assert all(len(rep._buf) == rep.window for rep in pushed.values())
 
     def test_bundle_replays_share_one_read_only_tape(self, tmp_path):
         values, marks = benchmark_stream(self.N, seed=60, kind="drift")
         bundle = load_csv(write_csv(tmp_path / "d.csv", values, anomalies=marks))
         first, unused = MeanStdFeatures(10), MeanStdFeatures(10)
         replays = [bundle.replay(first), bundle.replay(unused)]
-        assert (first.buffer_len(), unused.buffer_len()) == (10, 0)
+        assert (len(first._buf), len(unused._buf)) == (10, 0)
         a, b = ([r.push(v) for v in bundle.values.tolist()][-1] for r in replays)
         assert np.shares_memory(a, b)
         with pytest.raises(ValueError):
@@ -804,6 +821,27 @@ class TestCli:
         assert main(["score", str(scores), "--dataset", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"data error: {scores}:91: non-finite final_score 'nan'\n"
+
+    def test_score_file_of_another_dataset_is_data_error(self, tmp_path, capsys):
+        # the scores of a 300-point dataset (t = 46..300) against a 120-point one
+        path = make_dataset(tmp_path / "b.csv", n=120)
+        scores = tmp_path / "b__sw-nn.csv"
+        scores.write_text(",".join(SCORE_COLUMNS) + "\n" + "".join(
+            f"{t},1.0,0.5,0.1,0\n" for t in range(46, 301)))
+        err = f"data error: {scores}:77: timestamp 121 outside 1..120, the points of dataset 'b'\n"
+        assert main(["score", str(scores), "--dataset", str(path)]) == 2
+        assert capsys.readouterr().err == err
+        assert main(["characterize", str(path), "--scores-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("name", DETECTOR_GRID)
+    def test_group_empty_at_late_bootstrap_is_usage_error(self, tmp_path, capsys, name):
+        # 20 points give p = 3; the features warm up after it (t = 10, 16 for freq)
+        path = make_dataset(tmp_path / "short.csv", n=20, anomalies=())
+        assert main(["run", str(path), "--detector", name, "--out", str(tmp_path / "s.csv")]) == 1
+        t = 16 if name.endswith("freq") else 10
+        assert capsys.readouterr().err.startswith(
+            f"error: at t={t}: reference group of size 0 cannot seed the scorer")
 
     def test_bad_label_file_is_data_error(self, tmp_path, capsys):
         path = self._dataset(tmp_path)

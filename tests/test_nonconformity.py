@@ -8,86 +8,47 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ArrayClusterModel, knn_query, lof_caches, lof_query, loop_lloyd_kmeans
 
 import refstream.nonconformity as nonconformity
 from refstream.errors import DegenerateGroupError
 from refstream.nonconformity import (
-    REACH_FLOOR,
     ClusterModel,
     FrequencyMeasure,
     NeighborIndex,
-    _batch_lof,
     _distances,
     _distinct_rows,
     _first_by_distance,
     _nearest,
-    _SlotStore,
-    batch_knn_scores,
     batch_lof_scores,
-    cc_score,
-    knn_score,
     lloyd_kmeans,
-    lof_score,
 )
-
-
-# --- independent oracles ----------------------------------------------------
-
-
-def brute_knn(x, feats, k):
-    d = sorted(math.dist(x, f) for f in feats)
-    return sum(d[:k]) / k
-
-
-def brute_lof_caches(feats, ids, k):
-    """Definitional LOF over explicit nested loops; ties break by id."""
-    def neighbors(i):
-        cand = [(math.dist(feats[i], feats[j]), ids[j], j) for j in range(len(feats)) if j != i]
-        cand.sort()
-        return cand[:k]
-
-    kdist = {i: neighbors(i)[-1][0] for i in range(len(feats))}
-
-    def lrd(i):
-        total = 0.0
-        for dist, _, j in neighbors(i):
-            total += max(kdist[j], dist, REACH_FLOOR)
-        return 1.0 / (total / k)
-
-    lrds = {i: lrd(i) for i in range(len(feats))}
-
-    def lof(i):
-        return sum(lrds[j] for _, _, j in neighbors(i)) / k / lrds[i]
-
-    return kdist, lrds, {i: lof(i) for i in range(len(feats))}
-
-
-def brute_lof_query(x, feats, ids, k):
-    kdist, lrds, _ = brute_lof_caches(feats, ids, k)
-    cand = sorted((math.dist(x, feats[j]), ids[j], j) for j in range(len(feats)))[:k]
-    total = 0.0
-    for dist, _, j in cand:
-        total += max(kdist[j], dist, REACH_FLOOR)
-    lrd_q = 1.0 / (total / k)
-    return sum(lrds[j] for _, _, j in cand) / k / lrd_q
 
 
 # --- knn ---------------------------------------------------------------------
 
 
+def index_of(feats, k, mode="distance"):
+    """A NeighborIndex holding ``feats``, inserted in order."""
+    idx = NeighborIndex(k, mode=mode)
+    for ident, feature in enumerate(feats):
+        idx.insert(ident, feature)
+    return idx
+
+
 class TestKnn:
     def test_hand_computed(self):
-        assert knn_score((0, 0), [(1, 0), (0, 1), (2, 0)], 2) == pytest.approx(1.0)
+        assert index_of([(1, 0), (0, 1), (2, 0)], 2).score((0, 0)) == pytest.approx(1.0)
 
     def test_duplicate_scores_zero(self):
-        assert knn_score((1, 2), [(1, 2), (5, 5)], 1) == 0.0
+        assert index_of([(1, 2), (5, 5)], 1).score((1, 2)) == 0.0
 
     def test_three_four_five(self):
-        assert knn_score((0, 0), [(3, 4)], 1) == pytest.approx(5.0)
+        assert index_of([(3, 4)], 1).score((0, 0)) == pytest.approx(5.0)
 
     def test_small_group_rejected(self):
         with pytest.raises(DegenerateGroupError):
-            knn_score((0, 0), [(1, 1)], 2)
+            index_of([(1, 1)], 2).score((0, 0))
 
     def test_matches_brute_force(self):
         # the kernel adds one squared column at a time, so cover more than two
@@ -97,27 +58,28 @@ class TestKnn:
                 feats = rng.normal(size=(rng.integers(5, 40), dim))
                 x = rng.normal(size=dim)
                 k = int(rng.integers(1, 5))
-                assert knn_score(x, feats, k) == pytest.approx(
-                    brute_knn(x, feats.tolist(), k), abs=1e-9
-                )
+                assert index_of(feats, k).score(x) == knn_query(x, feats, k)
 
     def test_query_of_another_width_rejected(self):
         feats = np.random.default_rng(0).normal(size=(8, 2))
-        for score in (lambda q: knn_score(q, feats, 2), lambda q: lof_score(q, feats, 2),
-                      lambda q: cc_score(q, feats)):
+        model = ClusterModel(2, 0.25, np.random.default_rng(0))
+        for ident, feature in enumerate(feats):
+            model.insert(ident, feature)
+        for group in (index_of(feats, 2), index_of(feats, 2, "density"), model):
             for query in ((0.0, 0.0, 5.0), (0.0,)):
                 with pytest.raises(ValueError, match="columns"):
-                    score(query)
+                    group.score(query)
 
     def test_adding_closer_point_never_increases(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             feats = rng.normal(size=(12, 2))
             x = rng.normal(size=2)
-            base = knn_score(x, feats, 4)
+            idx = index_of(feats, 4)
+            base = idx.score(x)
             kth = sorted(np.sqrt(((feats - x) ** 2).sum(1)))[3]
-            closer = x + rng.uniform(-1, 1, size=2) * kth / 4
-            assert knn_score(x, np.vstack([feats, closer]), 4) <= base + 1e-12
+            idx.insert(len(feats), x + rng.uniform(-1, 1, size=2) * kth / 4)
+            assert idx.score(x) <= base + 1e-12
 
 
 # --- lof ----------------------------------------------------------------------
@@ -126,18 +88,17 @@ class TestKnn:
 class TestLof:
     def test_interior_grid_point_is_one(self):
         grid = [(i, j) for i in range(10) for j in range(10)]
-        assert lof_score((4.5, 4.5), grid, 4) == pytest.approx(1.0, abs=0.05)
+        assert index_of(grid, 4, "density").score((4.5, 4.5)) == pytest.approx(1.0, abs=0.05)
 
     def test_far_outlier_matches_brute_force(self):
         feats = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-        ids = [1, 2, 3, 4]
-        got = lof_score((5.0, 5.0), feats, 2)
+        got = index_of(feats, 2, "density").score((5.0, 5.0))
         assert got > 1.0
-        assert got == pytest.approx(brute_lof_query((5.0, 5.0), feats, ids, 2), abs=1e-9)
+        assert got == lof_query((5.0, 5.0), feats, 2)
 
     def test_coincident_group_scores_one(self):
         feats = [(2.0, 2.0)] * 6
-        assert lof_score((2.0, 2.0), feats, 3) == pytest.approx(1.0)
+        assert index_of(feats, 3, "density").score((2.0, 2.0)) == pytest.approx(1.0)
         np.testing.assert_allclose(batch_lof_scores(feats, 3), 1.0)
 
     def test_batch_matches_brute_force(self):
@@ -145,20 +106,15 @@ class TestLof:
         for _ in range(25):
             m = int(rng.integers(8, 25))
             feats = rng.normal(size=(m, 2)).round(3)  # rounding provokes ties
-            ids = list(range(1, m + 1))
             for k in (2, 4):
-                got = batch_lof_scores(feats, k)
-                _, _, want = brute_lof_caches(feats.tolist(), ids, k)
-                np.testing.assert_allclose(got, [want[i] for i in range(m)], atol=1e-9)
+                assert np.array_equal(batch_lof_scores(feats, k), lof_caches(feats, k)[2])
 
     def test_query_matches_brute_force(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             feats = rng.normal(size=(15, 2))
             x = rng.normal(size=2) * 2
-            got = lof_score(x, feats, 4)
-            want = brute_lof_query(x, feats.tolist(), list(range(1, 16)), 4)
-            assert got == pytest.approx(want, abs=1e-9)
+            assert index_of(feats, 4, "density").score(x) == lof_query(x, feats, 4)
 
     def test_uniform_data_median_near_one(self):
         rng = np.random.default_rng(5)
@@ -209,7 +165,7 @@ class TestNeighborIndexDistance:
         pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 2.0)]
         for i, p in enumerate(pts, start=1):
             idx.insert(i, p)
-        assert idx.score((0.2, 0.2)) == pytest.approx(knn_score((0.2, 0.2), pts, 2))
+        assert idx.score((0.2, 0.2)) == knn_query((0.2, 0.2), pts, 2)
 
     def test_remove_unknown_is_error(self):
         idx = NeighborIndex(2)
@@ -283,7 +239,7 @@ class TestNeighborIndexDensity:
         dist = np.sqrt(((np.array(feats)[:, None] - np.array(feats)[None]) ** 2).sum(-1))
         np.fill_diagonal(dist, np.inf)
         want = np.sort(dist, axis=1)[:, 2]
-        np.testing.assert_allclose(idx.cached_kdistances(), want, atol=1e-12)
+        np.testing.assert_allclose(kdistances(idx), want, atol=1e-12)
 
 
 GRID_OPS = st.lists(
@@ -291,7 +247,28 @@ GRID_OPS = st.lists(
     max_size=60,
 )
 INDEX_ARGS = dict(k=st.integers(1, 6), mode=st.sampled_from(["distance", "density"]))
-READS = ("score", "member_scores", "cached_kdistances", "cached_lrds")
+
+
+def kdistances(idx):
+    """A store's k-distances in arrival order; reading them builds a large store's rows."""
+    if idx._small():
+        return idx._batch()[1]
+    idx._ensure_built()
+    return idx._nbrd[:, -1].take(idx._rows())
+
+
+def lrds(idx):
+    """A store's LRDs in arrival order, NaN in distance mode; reading builds rows too."""
+    if idx._small():
+        lrd = idx._batch()[2]
+        return np.full(len(idx), np.nan) if lrd is None else lrd
+    idx._ensure_built()
+    return idx._lrd.take(idx._rows())
+
+
+# what a read of a store exposes, besides a query's score
+VIEWS = {"member_scores": NeighborIndex.member_scores, "kdistances": kdistances, "lrds": lrds}
+READS = ("score", *VIEWS)
 
 
 @contextlib.contextmanager
@@ -327,15 +304,15 @@ def check_churn(k, mode, ops):
         if len(alive) >= k + 1:
             assert np.array_equal(idx.member_scores(), idx.recompute_member_scores())
             if mode == "density":
-                _, kdist, lrd, _ = _batch_lof(feats, k)
-                assert np.array_equal(idx.cached_kdistances(), kdist)
-                assert np.array_equal(idx.cached_lrds(), lrd)
-                assert idx.score(query) == lof_score(query, feats, k)
+                kdist, lrd, _ = lof_caches(feats, k)
+                assert np.array_equal(kdistances(idx), kdist)
+                assert np.array_equal(lrds(idx), lrd)
+                assert idx.score(query) == lof_query(query, feats, k)
             else:
-                assert idx.score(query) == knn_score(query, feats, k)
-        # the cached_* views build a large store's rows, so read before
-        # looking. A small store keeps none.
-        idx.cached_kdistances()
+                assert idx.score(query) == knn_query(query, feats, k)
+        # reading the k-distances builds a large store's rows, so read
+        # before looking. A small store keeps none.
+        kdistances(idx)
         if idx._small():
             assert not idx._built
             continue
@@ -380,12 +357,7 @@ def index_state(idx, query):
         score = idx.score(query)
     except DegenerateGroupError as exc:
         score = str(exc)
-    state = {
-        "score": score,
-        "member_scores": idx.member_scores(),
-        "cached_kdistances": idx.cached_kdistances(),
-        "cached_lrds": idx.cached_lrds(),
-    }
+    state = {"score": score, **{name: view(idx) for name, view in VIEWS.items()}}
     if not idx._small():
         rows = idx._rows()
         state.update(nbr=idx._nbr[rows], nbrd=idx._nbrd[rows])
@@ -394,7 +366,7 @@ def index_state(idx, query):
 
 def assert_same_state(lazy, eager, query):
     got, want = index_state(lazy, query), index_state(eager, query)
-    for name in ("member_scores", "cached_kdistances", "cached_lrds"):
+    for name in VIEWS:
         assert np.array_equal(got[name], want[name], equal_nan=True), name
     assert got["score"] == want["score"]
     if "nbr" in got and "nbr" in want:
@@ -418,7 +390,7 @@ def check_first_read_build(k, mode, first_read, ops):
             victim = alive.pop(pick % len(alive))
             lazy.remove(victim)
             eager.remove(victim)
-        eager.cached_kdistances()
+        kdistances(eager)
     assert not lazy._built
     failed = False
     if first_read == "score":
@@ -427,7 +399,7 @@ def check_first_read_build(k, mode, first_read, ops):
         except DegenerateGroupError:
             failed = True
     else:
-        getattr(lazy, first_read)()
+        VIEWS[first_read](lazy)
     # only a large store builds rows; every read does so but a
     # distance-mode score, and a score refused for too few members
     needs_rows = not lazy._small() and not failed and (
@@ -555,7 +527,7 @@ class TestNonFiniteDistances:
     @pytest.mark.parametrize("small", [True, False])
     @pytest.mark.parametrize("query, n_inf", [((math.nan, 0.0), 0), ((math.inf, 0.0), 16),
                                               ((math.inf, 0.0), 3)])
-    def test_density_query_with_nan_distances_equals_lof_score(self, small, query, n_inf):
+    def test_density_query_with_nan_distances_equals_lof_query(self, small, query, n_inf):
         # a NaN query is NaN from every member; an (inf, 0) query is NaN
         # from the (inf, 0) members, so with 16 of 20 fewer than k = 5
         # distances are numbers, and with 3 of 20 the NaNs sort past the k-th
@@ -569,7 +541,7 @@ class TestNonFiniteDistances:
             for ident, p in enumerate(points):
                 idx.insert(ident, p)
             assert idx._small() == small
-            got, want = idx.score(query), lof_score(query, idx.member_features(), 5)
+            got, want = idx.score(query), lof_query(query, idx.member_features(), 5)
         assert got == want or (math.isnan(got) and math.isnan(want))
 
 
@@ -604,7 +576,7 @@ class TestSmallGroupWithoutRows:
                 assert np.array_equal(got, batch_lof_scores(feats, k))
             for q in queries:
                 if len(feats) > k:
-                    want = lof_score(q, feats, k) if mode == "density" else knn_score(q, feats, k)
+                    want = lof_query(q, feats, k) if mode == "density" else knn_query(q, feats, k)
                     assert idx.score(q) == twin.score(q) == want
             assert not idx._built and twin._built
             if step == 0:
@@ -768,26 +740,6 @@ class TestNeighborIndexMatrix:
 # --- clustering ----------------------------------------------------------------
 
 
-def loop_lloyd_kmeans(features, n_clusters, rng, max_iter=100):
-    """The per-cluster update loop that ``lloyd_kmeans`` replaced, as its oracle."""
-    feats = np.asarray(features, dtype=float)
-    uniq = np.unique(feats, axis=0)
-    kk = min(n_clusters, len(uniq))
-    centroids = uniq[rng.choice(len(uniq), size=kk, replace=False)].copy()
-    assign = None
-    for _ in range(max_iter):
-        d2 = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-        new_assign = d2.argmin(axis=1)
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for c in range(kk):
-            members = feats[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-    return centroids, assign
-
-
 class TestLloydKmeans:
     @given(
         base=st.lists(st.tuples(*[st.floats(-1e3, 1e3, allow_subnormal=False)] * 2),
@@ -885,17 +837,17 @@ class TestDistinctRows:
 
 class TestClusterScore:
     def test_single_centroid(self):
-        assert cc_score((3.0, 4.0), [(0.0, 0.0)]) == pytest.approx(5.0)
+        assert _nearest([(0.0, 0.0)], (3.0, 4.0)) == (0, pytest.approx(5.0))
 
     def test_at_centroid(self):
-        assert cc_score((1.0, 1.0), [(1.0, 1.0), (9.0, 9.0)]) == 0.0
+        assert _nearest([(1.0, 1.0), (9.0, 9.0)], (1.0, 1.0)) == (0, 0.0)
 
     def test_nearest_wins(self):
-        assert cc_score((6.0, 0.0), [(0.0, 0.0), (10.0, 0.0)]) == pytest.approx(4.0)
+        assert _nearest([(0.0, 0.0), (10.0, 0.0)], (6.0, 0.0)) == (1, pytest.approx(4.0))
 
     def test_empty_model_rejected(self):
         with pytest.raises(DegenerateGroupError):
-            cc_score((0.0, 0.0), np.empty((0, 2)))
+            ClusterModel(2, 0.25, np.random.default_rng(0)).score((0.0, 0.0))
 
     @given(st.integers(1, 3).flatmap(lambda w: st.tuples(
         st.lists(st.lists(COARSE, min_size=w, max_size=w), min_size=1, max_size=8),
@@ -904,8 +856,9 @@ class TestClusterScore:
     def test_bitwise_numpy_min_and_argmin(self, case):
         centroids, x = np.array(case[0]), np.array(case[1])
         want = _distances(centroids, x)
-        assert np.float64(cc_score(x, centroids)).tobytes() == want.min().tobytes()
-        assert _nearest(centroids.tolist(), x.tolist()) == (want.argmin(), want.min())
+        got = _nearest(centroids.tolist(), x.tolist())
+        assert np.float64(got[1]).tobytes() == want.min().tobytes()
+        assert got == (want.argmin(), want.min())
 
     def test_first_nan_distance_wins_as_in_numpy(self):
         # inf - inf makes a NaN distance; numpy's min and argmin stop at the
@@ -1107,88 +1060,6 @@ class TestClusterDriftBound:
             assert model._bound == pytest.approx(want, rel=1e-14, abs=0)
         assert model.recompute_count == 1
         assert model._bound >= summed_distance(model)
-
-
-class ArrayClusterModel(_SlotStore):
-    """``ClusterModel`` with its per-cluster state in numpy arrays, as its oracle.
-
-    The update formulas are those the list state replaced: the nearest
-    centroid by numpy's argmin, running sums and counts updated in place,
-    and each centroid their quotient. The drift check and the recluster
-    are the model's own.
-    """
-
-    _WHAT = "cluster model"
-    _SLOT_FILLS = {"_assign": -1}
-
-    def __init__(self, n_clusters, recompute_factor, rng):
-        super().__init__()
-        self.n_clusters, self.recompute_factor, self.rng = n_clusters, recompute_factor, rng
-        self.centroids = self._sums = np.empty((0, 0))
-        self._counts = np.empty(0, dtype=np.int64)
-        self._baseline, self._bound, self.recompute_count = None, 0.0, 0
-        self._assign = np.empty(0, dtype=np.int64)
-
-    _check_drift = ClusterModel._check_drift
-    _SLACK = ClusterModel._SLACK
-
-    def insert(self, ident, feature):
-        x = np.asarray(feature, dtype=float)
-        slot = self._claim(ident, x)
-        if self.centroids.shape[1] != x.size:
-            self.centroids, self._sums = np.empty((0, x.size)), np.empty((0, x.size))
-        if len(self.centroids) < self.n_clusters and self._baseline is None:
-            self.centroids = np.vstack([self.centroids, x])
-            self._sums = np.vstack([self._sums, x])
-            self._counts = np.append(self._counts, 1)
-            self._assign[slot] = len(self.centroids) - 1
-        else:
-            c = _distances(self.centroids, x).argmin()
-            self._assign[slot] = c
-            n_old = int(self._counts[c])
-            self._sums[c] += x
-            self._counts[c] += 1
-            new = self._sums[c] / self._counts[c]
-            shift = math.dist(new, self.centroids[c])
-            self.centroids[c] = new
-            self._bound += (math.dist(x, new) + n_old * shift) * (1.0 + self._SLACK)
-        self._check_drift()
-
-    def remove(self, ident):
-        slot = self._release(ident)
-        c = self._assign[slot]
-        x = self._X[slot]
-        gone = math.dist(x, self.centroids[c])
-        self._sums[c] -= x
-        self._counts[c] -= 1
-        n_left = int(self._counts[c])
-        shift = 0.0
-        if n_left > 0:
-            new = self._sums[c] / self._counts[c]
-            shift = math.dist(new, self.centroids[c])
-            self.centroids[c] = new
-        self._bound += n_left * shift * (1.0 + self._SLACK) - gone * (1.0 - self._SLACK)
-        self._check_drift()
-
-    def _mean_distance(self):
-        if not self._order_slots:
-            self._bound = 0.0
-            return 0.0
-        rows = self._rows()
-        assigned = self.centroids[self._assign[rows]]
-        mean = float(_distances(self.member_features(), assigned).mean())
-        self._bound = mean * rows.size * (1.0 + self._SLACK)
-        return mean
-
-    def recluster(self):
-        self.centroids, assign, self._sums, self._counts = lloyd_kmeans(
-            self.member_features(), self.n_clusters, self.rng)
-        self._assign[self._rows()] = assign
-        self.recompute_count += 1
-        self._baseline = self._mean_distance()
-
-    def score(self, feature):
-        return float(_distances(self.centroids, np.asarray(feature, dtype=float)).min())
 
 
 def assert_same_cluster_state(model, twin):

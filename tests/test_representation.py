@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import meanstd, numpy_sax
 from scipy import special
 
 from refstream.errors import ConfigError, DataError
 from refstream.representation import (
-    SAX_ALPHABET,
     FeatureReplay,
     MeanStdFeatures,
     SaxFeatures,
@@ -14,10 +14,6 @@ from refstream.representation import (
     _pairwise_sum,
     breakpoints,
     feature_tape,
-    meanstd_transform,
-    paa,
-    sax_transform,
-    symbolize,
 )
 
 
@@ -72,18 +68,28 @@ class TestNdtri:
             assert np.isnan(_ndtri(p)) and np.isnan(special.ndtri(p))
 
 
+def last_push(representation, values):
+    """What a fresh representation returns for the last of ``values``."""
+    return [representation.push(v) for v in values][-1]
+
+
+def sax_word(values, segments, alphabet_size):
+    """The SAX word of one window, as a SaxFeatures of its length gives it."""
+    return last_push(SaxFeatures(len(values), segments, alphabet_size), values)
+
+
 class TestMeanStd:
     def test_small_window(self):
-        mu, sigma = meanstd_transform([1, 2, 3])
+        mu, sigma = last_push(MeanStdFeatures(3), [1, 2, 3])
         assert mu == pytest.approx(2.0)
         assert sigma == pytest.approx(0.81650, abs=1e-5)
 
     def test_constant_window(self):
-        mu, sigma = meanstd_transform([5, 5, 5])
+        mu, sigma = last_push(MeanStdFeatures(3), [5, 5, 5])
         assert (mu, sigma) == (5.0, 0.0)
 
     def test_four_values(self):
-        mu, sigma = meanstd_transform([0, 0, 0, 4])
+        mu, sigma = last_push(MeanStdFeatures(4), [0, 0, 0, 4])
         assert mu == pytest.approx(1.0)
         assert sigma == pytest.approx(1.73205, abs=1e-5)
 
@@ -91,7 +97,7 @@ class TestMeanStd:
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=64),
     )
     def test_matches_two_pass_brute_force(self, values):
-        mu, sigma = meanstd_transform(values)
+        mu, sigma = last_push(MeanStdFeatures(len(values)), values)
         mean = sum(values) / len(values)
         var = sum((v - mean) ** 2 for v in values) / len(values)
         assert mu == pytest.approx(mean, abs=1e-12 * max(1, abs(mean)))
@@ -101,33 +107,33 @@ class TestMeanStd:
         feats = MeanStdFeatures(3)
         out = [feats.push(v) for v in [1, 2, 3, 4, 5]]
         assert out[0] is None and out[1] is None
-        np.testing.assert_allclose(out[2], meanstd_transform([1, 2, 3]))
-        np.testing.assert_allclose(out[3], meanstd_transform([2, 3, 4]))
-        np.testing.assert_allclose(out[4], meanstd_transform([3, 4, 5]))
+        np.testing.assert_array_equal(out[2], meanstd([1, 2, 3]))
+        np.testing.assert_array_equal(out[3], meanstd([2, 3, 4]))
+        np.testing.assert_array_equal(out[4], meanstd([3, 4, 5]))
 
 
 class TestSax:
     def test_step_window(self):
-        assert sax_transform([0, 0, 10, 10], 2, 3) == "ac"
+        assert sax_word([0, 0, 10, 10], 2, 3) == "ac"
 
     def test_constant_window_maps_to_middle(self):
-        assert sax_transform([7.0, 7.0, 7.0, 7.0], 2, 3) == "bb"
+        assert sax_word([7.0, 7.0, 7.0, 7.0], 2, 3) == "bb"
 
     def test_constant_window_inexact_mean(self):
         # identical values whose float mean is inexact still count as constant
-        assert sax_transform([0.1, 0.1, 0.1, 0.1], 2, 3) == "bb"
+        assert sax_word([0.1, 0.1, 0.1, 0.1], 2, 3) == "bb"
 
     def test_even_alphabet_uses_lower_middle(self):
-        assert sax_transform([1.0, 1.0], 2, 4) == "bb"
+        assert sax_word([1.0, 1.0], 2, 4) == "bb"
 
     def test_sign_window_two_symbols(self):
-        assert sax_transform([-3, -1, 1, 3], 4, 2) == "aabb"
+        assert sax_word([-3, -1, 1, 3], 4, 2) == "aabb"
 
     def test_indivisible_window_rejected(self):
         # a constant window takes the middle-symbol shortcut, but not past the check
         for values in ([1.0, 2.0, 3.0], [7.0, 7.0, 7.0]):
-            with pytest.raises(ConfigError, match="not divisible"):
-                sax_transform(values, 2, 3)
+            with pytest.raises(ConfigError, match="divisible"):
+                sax_word(values, 2, 3)
 
     @given(
         st.lists(st.integers(-50, 50), min_size=8, max_size=8),
@@ -139,7 +145,7 @@ class TestSax:
         # coarse lattice inputs keep PAA values away from breakpoint ulp-edges
         x = np.asarray(lattice, dtype=float)
         a, b = a4 / 4.0, b4 / 4.0
-        assert sax_transform(a * x + b, 4, 5) == sax_transform(x, 4, 5)
+        assert sax_word(a * x + b, 4, 5) == sax_word(x, 4, 5)
 
     def test_shift_scale_invariance_random_floats(self):
         rng = np.random.default_rng(7)
@@ -147,14 +153,15 @@ class TestSax:
             x = rng.normal(size=16)
             a = rng.uniform(0.1, 10)
             b = rng.uniform(-5, 5)
-            assert sax_transform(a * x + b, 4, 6) == sax_transform(x, 4, 6)
+            assert sax_word(a * x + b, 4, 6) == sax_word(x, 4, 6)
 
     def test_equiprobable_symbols(self):
         # standard-normal PAA values must hit each symbol with frequency 1/alpha
         rng = np.random.default_rng(123)
         for alpha in (3, 5, 8):
-            word = symbolize(rng.standard_normal(1_000_000), alpha)
-            freqs = np.array([word.count(c) for c in sorted(set(word))]) / len(word)
+            symbols = np.searchsorted(breakpoints(alpha), rng.standard_normal(1_000_000),
+                                      side="right")
+            freqs = np.bincount(symbols) / symbols.size
             assert len(freqs) == alpha
             np.testing.assert_allclose(freqs, 1 / alpha, atol=0.01)
 
@@ -163,7 +170,7 @@ class TestSax:
         out = [feats.push(v) for v in [0, 0, 10, 10, 0]]
         assert out[:3] == [None, None, None]
         assert out[3] == "ac"
-        assert out[4] == sax_transform([0, 10, 10, 0], 2, 3)
+        assert out[4] == numpy_sax([0, 10, 10, 0], 2, 3)
 
     def test_streaming_config_validation(self):
         with pytest.raises(ConfigError):
@@ -189,14 +196,6 @@ def last_windows(runs, window):
     values *= -(-(window + 8) // len(values))
     for i in range(len(values)):
         yield values[i], (np.array(values[i + 1 - window : i + 1]) if i + 1 >= window else None)
-
-
-def numpy_sax(x, segments, alphabet_size):
-    sd = x.std()
-    if np.all(x == x[0]) or sd == 0.0:
-        return SAX_ALPHABET[(alphabet_size + 1) // 2 - 1] * segments
-    z = (x - x.mean()) / sd
-    return symbolize(z.reshape(segments, -1).mean(axis=1), alphabet_size)
 
 
 # mixed magnitudes, and both zeros so that runs of them occur
@@ -247,8 +246,7 @@ class TestStreamingMatchesNumpy:
             if x is None:
                 assert out is None
             else:
-                assert out.tobytes() == np.array([x.mean(), x.std()]).tobytes()
-                assert meanstd_transform(x).tobytes() == out.tobytes()
+                assert out.tobytes() == meanstd(x).tobytes()
 
     @given(RUNS, st.sampled_from([(1, 1), (4, 2), (7, 7), (8, 4), (10, 5), (16, 4),
                                   (128, 4), (136, 8), (264, 8)]),
@@ -262,9 +260,7 @@ class TestStreamingMatchesNumpy:
             if x is None:
                 assert word is None
             else:
-                assert paa(x, segments).tobytes() == x.reshape(segments, -1).mean(axis=1).tobytes()
                 assert word == numpy_sax(x, segments, alphabet_size)
-                assert sax_transform(x, segments, alphabet_size) == word
 
 
 class TestFeatureReplay:

