@@ -93,6 +93,7 @@ class DetectorConfig:
         return 16 if self.measure == "freq" else 10
 
     def validate(self):
+        """The one check of detector parameters, which every part a Detector builds assumes."""
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.measure not in MEASURES:
@@ -109,6 +110,9 @@ class DetectorConfig:
                 raise ConfigError(
                     f"rep_window {rep_window} must be divisible by sax_segments {self.sax_segments}"
                 )
+        # resolving sets window and ks_window to p, so p comes first
+        if self.probation_len is not None and self.probation_len < 1:
+            raise ConfigError(f"probation_len must be >= 1, got {self.probation_len}")
         if self.window is not None and self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.landmark < 0:
@@ -131,8 +135,6 @@ class DetectorConfig:
             raise ConfigError(
                 f"probationary_fraction must be in (0, 1), got {self.probationary_fraction}"
             )
-        if self.probation_len is not None and self.probation_len < 1:
-            raise ConfigError(f"probation_len must be >= 1, got {self.probation_len}")
         # lw admits only points after the landmark, so a landmark at or past
         # the probation boundary leaves no group to seed the scorer with
         p = self.probation_len
@@ -158,7 +160,8 @@ class DetectorConfig:
 
 def probation_length(fraction: float, n_points: int) -> int:
     """Points in the probationary prefix of a stream of ``n_points``: at least one."""
-    return max(1, math.floor(fraction * n_points))
+    points = fraction * n_points  # not finite for a fraction that validate rejects
+    return max(1, math.floor(points)) if math.isfinite(points) else 1
 
 
 def named_config(name: str, **overrides) -> DetectorConfig:
@@ -213,6 +216,7 @@ class Detector:
 
         self.scorer = AnomalyScorer(config.ks_window, config.test_period)
         self._last_t: int | None = None
+        self._probation_features = 0  # features the strategy saw during probation
 
     @property
     def group_size(self) -> int:
@@ -232,11 +236,17 @@ class Detector:
     def _bootstrap(self):
         scores = self._reference_scores()
         if scores.size < 2 or not np.isfinite(scores).all():
-            raise DegenerateGroupError(
-                f"reference group of size {self.group_size} cannot seed the scorer "
-                f"(k={self.config.k}, measure={self.config.measure!r}); "
-                "increase the probationary period or shrink k"
-            )
+            c, n, seen = self.config, self.group_size, self._probation_features
+            if seen < 2:
+                why = (f"only {seen} features reached it in probation_len={c.probation_len} "
+                       f"points, as the first takes rep_window={c.rep_window} values; "
+                       "lengthen the probation or shrink rep_window")
+            elif c.measure in ("nn", "den") and n <= c.k:
+                why = (f"{c.measure} needs more than k={c.k} members; lengthen the probation "
+                       "or shrink k")
+            else:
+                why = f"the {c.strategy} strategy kept {n} of {seen} features; the scorer needs 2"
+            raise DegenerateGroupError(f"reference group of size {n} cannot seed the scorer: {why}")
         self.scorer.bootstrap(scores)
 
     def process(self, point: StreamPoint) -> ScoreRecord | None:
@@ -252,6 +262,7 @@ class Detector:
             return None
 
         if t <= self.probation_len:
+            self._probation_features += 1
             added, removed = self.strategy.update(feature, t, 0.0)
             self._apply_update(feature, added, removed)
             if t == self.probation_len:
@@ -286,6 +297,5 @@ class Detector:
 
 
 def build_detector(config: DetectorConfig, n_points: int | None = None) -> Detector:
-    """Validate the config, resolve size-dependent defaults, build the detector."""
-    config.validate()
+    """Resolve size-dependent defaults and build the detector, which validates the result."""
     return Detector(config.resolve(n_points))

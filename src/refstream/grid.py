@@ -156,6 +156,8 @@ class RunManifest:
     def validate(self):
         if not self.datasets:
             raise ConfigError("manifest lists no datasets")
+        if not self.detectors:
+            raise ConfigError("manifest lists no detectors")
         for ds in self.datasets:
             if not Path(ds).exists():
                 raise ConfigError(f"dataset file not found: {ds}")

@@ -64,8 +64,6 @@ class SlidingWindow:
     """Keeps exactly the ``window`` most recent arrivals."""
 
     def __init__(self, window: int):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
         self.arrivals: deque[int] = deque()
 
@@ -86,8 +84,6 @@ class UniformReservoir:
     """
 
     def __init__(self, window: int, rng: np.random.Generator):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
         self.rng = rng
         self.arrivals: list[int] = []
@@ -121,10 +117,6 @@ class AnomalyAwareReservoir:
     """
 
     def __init__(self, window: int, decay: float, rng: np.random.Generator):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if not 0 < decay <= 1:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
         self.window = window
         self.decay = decay
         self.rng = rng

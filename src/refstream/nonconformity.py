@@ -14,9 +14,10 @@ matrix and derives the average k-NN distances, or the k-distances, LRDs
 and LOFs, in one batch. A larger store keeps rows instead: it builds them
 in one batch at its first read, then repairs them on every insert and
 every removal. Inserting the point just scored reuses the distances the
-score computed. The k-means model keeps an
-upper bound on its drift between exact checks and skips every check the
-bound shows cannot fire.
+score computed. The small store's reads and the exact refresh turn a
+distance block into scores by one rule, NaN for a group of at most k
+members. The k-means model keeps an upper bound on its drift between
+exact checks and skips every check the bound shows cannot fire.
 
 Groups hold tens to a few hundred members, so numpy's per-call cost, not
 arithmetic, sets the cost of most operations here. Hot gathers are
@@ -70,7 +71,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGroupError
+from .errors import DegenerateGroupError
 
 REACH_FLOOR = 1e-12
 
@@ -102,18 +103,10 @@ def _distances(features: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _pairwise(features: np.ndarray) -> np.ndarray:
-    return _distances(features[:, None, :], features[None, :, :])
-
-
-def batch_knn_scores(features, k: int) -> np.ndarray:
-    """Leave-one-out average k-NN distance of every member, in given order."""
-    feats = np.asarray(features, dtype=float)
-    m = len(feats)
-    if m < k + 1:
-        raise DegenerateGroupError(f"need at least k+1={k + 1} entries, have {m}")
-    dist = _pairwise(feats)
+    """Distances between every two rows of features, with an inf diagonal."""
+    dist = _distances(features[:, None, :], features[None, :, :])
     np.fill_diagonal(dist, np.inf)
-    return _block_knn(dist, k)[1]
+    return dist
 
 
 def _block_knn(dist: np.ndarray, k: int):
@@ -180,17 +173,6 @@ def _query_lof(d: np.ndarray, kdist: np.ndarray, lrd: np.ndarray, k: int) -> flo
     """
     reach = np.maximum(np.maximum(kdist, d), REACH_FLOOR)
     return float(np.add.reduce(lrd) / k / (1.0 / (np.add.reduce(reach) / k)))
-
-
-def batch_lof_scores(features, k: int) -> np.ndarray:
-    """Local outlier factor of every member, in given order."""
-    feats = np.asarray(features, dtype=float)
-    m = len(feats)
-    if m < k + 1:
-        raise DegenerateGroupError(f"need at least k+1={k + 1} entries, have {m}")
-    dist = _pairwise(feats)
-    np.fill_diagonal(dist, np.inf)
-    return _block_lof(dist, k)[2]
 
 
 def _nearest(centroids: list, x: list) -> tuple[int, float]:
@@ -386,8 +368,10 @@ class NeighborIndex(_SlotStore):
     ``_batch``: the group's block gathered from the matrix in arrival
     order, and from it every k-distance and average k-NN distance
     (``_block_knn``) or every k-distance, LRD and LOF (``_block_lof``),
-    in one batch kept until the group changes. These are
-    bitwise the values rows would hold. At these sizes the batch costs
+    in one batch kept until the group changes. These are bitwise the
+    values rows would hold. ``_group_scores`` makes that batch, and the
+    exact refresh feeds it a fresh block, so both refresh modes score a
+    group of at most k members by its one rule. At these sizes the batch costs
     less than repairing rows: a sliding step (``score``, remove, insert,
     ``member_scores``; k = 10; drift features) at 30, 49 and 60 members
     took 30, 41 and 45 us from the matrix against 92, 146 and 103 us with
@@ -426,10 +410,6 @@ class NeighborIndex(_SlotStore):
     _MATRIX_SLOTS = 64
 
     def __init__(self, k: int, mode: str = "distance"):
-        if k < 1:
-            raise ConfigError(f"k must be >= 1, got {k}")
-        if mode not in ("distance", "density"):
-            raise ConfigError(f"unknown NeighborIndex mode {mode!r}")
         super().__init__()
         self.k = k
         self.mode = mode
@@ -483,10 +463,8 @@ class NeighborIndex(_SlotStore):
         """
         if self._D is None:
             rows = self._rows()
-            block = _pairwise(self.member_features())
-            np.fill_diagonal(block, np.inf)
             self._D = self._grown(np.empty((0, 0)), rows.max())
-            self._D[rows[:, None], rows] = block
+            self._D[rows[:, None], rows] = _pairwise(self.member_features())
         return self._D
 
     @staticmethod
@@ -501,26 +479,27 @@ class NeighborIndex(_SlotStore):
         new[: len(D), : len(D)] = D
         return new
 
-    def _batch(self) -> tuple:
-        """Rows, k-distances, LRDs and scores of a small store, in arrival order.
+    def _group_scores(self, block) -> tuple:
+        """k-distances, LRDs and scores in arrival order from ``block()``, the group's distances.
 
-        Computed in one batch over the matrix at the first read after a
-        change of the group. A group of at most k members gives inf
-        k-distances and NaN LRDs and scores, as rows would; distance mode
-        keeps no LRDs otherwise (None).
+        A group of at most k members needs no block: inf k-distances and NaN
+        LRDs and scores, as rows would hold. Distance mode has no LRDs (None).
         """
+        m, k = len(self), self.k
+        if m <= k:
+            nan = np.full(m, np.nan)
+            return np.full(m, np.inf), nan, nan
+        if self.mode == "density":
+            return _block_lof(block(), k)
+        kdist, scores = _block_knn(block(), k)
+        return kdist, None, scores
+
+    def _batch(self) -> tuple:
+        """``_group_scores`` of a small store over its matrix, kept until the group changes."""
         if self._batch_cache is None:
-            rows, k = self._rows(), self.k
-            if rows.size <= k:
-                nan = np.full(rows.size, np.nan)
-                self._batch_cache = (rows, np.full(rows.size, np.inf), nan, nan)
-            else:
-                block = self._matrix().take(rows, 0).take(rows, 1)
-                if self.mode == "density":
-                    self._batch_cache = (rows, *_block_lof(block, k))
-                else:
-                    kdist, scores = _block_knn(block, k)
-                    self._batch_cache = (rows, kdist, None, scores)
+            rows = self._rows()
+            self._batch_cache = self._group_scores(
+                lambda: self._matrix().take(rows, 0).take(rows, 1))
         return self._batch_cache
 
     def _rebuild_rows(self, slots: np.ndarray):
@@ -636,7 +615,7 @@ class NeighborIndex(_SlotStore):
         if self.mode == "distance":
             return float(np.add.reduce(np.partition(d, k - 1)[:k]) / k)
         if self._small():
-            _, kdist, lrd, _ = self._batch()
+            kdist, lrd, _ = self._batch()
             nn = d.argsort(kind="stable")[:k]
             return _query_lof(d.take(nn), kdist.take(nn), lrd.take(nn), k)
         self._ensure_built()
@@ -652,15 +631,13 @@ class NeighborIndex(_SlotStore):
     def member_scores(self) -> np.ndarray:
         """Cached leave-one-out scores in arrival order."""
         if self._small():
-            return self._batch()[3]
+            return self._batch()[2]
         self._ensure_built()
         return self._score.take(self._rows())
 
     def recompute_member_scores(self) -> np.ndarray:
-        feats = self.member_features()
-        if self.mode == "distance":
-            return batch_knn_scores(feats, self.k)
-        return batch_lof_scores(feats, self.k)
+        """Leave-one-out scores from a fresh distance block, in arrival order."""
+        return self._group_scores(lambda: _pairwise(self.member_features()))[2]
 
 
 class ClusterModel(_SlotStore):
@@ -703,10 +680,6 @@ class ClusterModel(_SlotStore):
     _SLACK = 1e-9
 
     def __init__(self, n_clusters: int, recompute_factor: float, rng: np.random.Generator):
-        if n_clusters < 1:
-            raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
-        if recompute_factor <= 0:
-            raise ConfigError(f"recompute_factor must be > 0, got {recompute_factor}")
         super().__init__()
         self.n_clusters = n_clusters
         self.recompute_factor = recompute_factor

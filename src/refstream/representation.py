@@ -68,7 +68,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 SAX_ALPHABET = string.ascii_lowercase
 
@@ -138,8 +138,6 @@ def breakpoints(alphabet_size: int) -> np.ndarray:
     Returns the ``alphabet_size - 1`` quantiles at i/alphabet_size, strictly
     increasing and symmetric about zero.
     """
-    if alphabet_size < 2:
-        raise ConfigError(f"alphabet_size must be >= 2, got {alphabet_size}")
     probs = np.arange(1, alphabet_size) / alphabet_size
     return np.array([_ndtri(p) for p in probs.tolist()])
 
@@ -239,8 +237,6 @@ class MeanStdFeatures:
     """
 
     def __init__(self, window: int):
-        if window < 1:
-            raise ConfigError(f"representation window must be >= 1, got {window}")
         self.window = window
         self.key = ("meanstd", window)
         self._buf = _Window(window)
@@ -257,16 +253,6 @@ class SaxFeatures:
     """Streaming SAX words over overlapping subsequences of the last n values."""
 
     def __init__(self, window: int, segments: int, alphabet_size: int):
-        if window < 1:
-            raise ConfigError(f"representation window must be >= 1, got {window}")
-        if segments < 1 or window % segments:
-            raise ConfigError(
-                f"window {window} must be divisible by segments {segments}"
-            )
-        if not 2 <= alphabet_size <= len(SAX_ALPHABET):
-            raise ConfigError(
-                f"alphabet_size must be in [2, {len(SAX_ALPHABET)}], got {alphabet_size}"
-            )
         self.window = window
         self.segments = segments
         self.alphabet_size = alphabet_size

@@ -150,10 +150,6 @@ class AnomalyScorer:
     """
 
     def __init__(self, ks_window: int, test_period: int = 1):
-        if ks_window < 1:
-            raise ConfigError(f"ks_window must be >= 1, got {ks_window}")
-        if test_period < 1:
-            raise ConfigError(f"test_period must be >= 1, got {test_period}")
         self.ks_window = ks_window
         self.test_period = test_period
         self.window: deque[float] = deque(maxlen=ks_window)

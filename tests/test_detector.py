@@ -15,7 +15,7 @@ from refstream.detector import (
     build_detector,
     named_config,
 )
-from refstream.errors import ConfigError, DataError
+from refstream.errors import ConfigError, DataError, DegenerateGroupError
 from refstream.learning import AnomalyAwareReservoir, ares_weight
 from refstream.nonconformity import FrequencyMeasure
 from refstream.synthetic import benchmark_stream
@@ -67,6 +67,38 @@ class TestConfig:
                 build_detector(named_config("lw-nn", k=3, landmark=landmark), n_points=400)
         assert build_detector(named_config("lw-nn", k=3, landmark=59), n_points=400).probation_len == 60
 
+    @pytest.mark.parametrize("config, field", [
+        (named_config("sw-nn", window=0), "window"),
+        (named_config("sw-nn", k=0), "k"),
+        (named_config("sw-cc", n_clusters=0), "n_clusters"),
+        (named_config("sw-cc", recompute_factor=0.0), "recompute_factor"),
+        (named_config("sw-nn", rep_window=0), "rep_window"),
+        (named_config("sw-nn", ks_window=0), "ks_window"),
+        (named_config("sw-nn", test_period=0), "test_period"),
+        # window and ks_window default to p, so p is checked first
+        (named_config("sw-nn", probation_len=0), "probation_len"),
+        (DetectorConfig(strategy="tumbling"), "strategy"),
+        (DetectorConfig(measure="iforest"), "measure"),
+        (named_config("sw-nn", refresh="lazy"), "refresh"),
+        (named_config("sw-freq", sax_segments=0), "sax_segments"),
+        (named_config("sw-freq", sax_segments=3), "sax_segments"),
+        # not a number, so resolving cannot derive p from it
+        (named_config("sw-nn", probationary_fraction=math.nan), "probationary_fraction"),
+        (named_config("sw-nn", probationary_fraction=math.inf), "probationary_fraction"),
+    ])
+    def test_each_rule_names_its_field(self, config, field):
+        # the components check nothing: the config is the one place
+        with pytest.raises(ConfigError, match=rf"(?<![a-z_]){field}\b"):
+            build_detector(config, n_points=100)
+
+    def test_build_detector_validates_once(self, monkeypatch):
+        calls = []
+        validate = DetectorConfig.validate
+        monkeypatch.setattr(DetectorConfig, "validate",
+                            lambda self: calls.append(self) or validate(self))
+        det = build_detector(named_config("sw-nn", k=3), n_points=400)
+        assert calls == [det.config]  # the resolved config, which knows p
+
     def test_unresolved_length_rejected(self):
         with pytest.raises(ConfigError, match="probation"):
             build_detector(DetectorConfig())
@@ -117,6 +149,38 @@ class TestProbationaryContract:
         settle = det.probation_len + 2 * det.config.ks_window
         tail = [r for r in recs if r.timestamp > settle]
         assert tail and all(not r.flagged for r in tail)
+
+
+class TestDegenerateGroup:
+    """The bootstrap alone rejects a group too small to seed the scorer, naming the cause."""
+
+    def _error(self, name, refresh="incremental", **overrides):
+        # p = 15 and a representation window of 8 let 8 features reach the group
+        config = named_config(name, **{"probation_len": 15, "rep_window": 8, "refresh": refresh,
+                                       **overrides})
+        with pytest.raises(DegenerateGroupError) as exc:
+            build_detector(config).run(stream(gaussian_stream(40, seed=5)))
+        return str(exc.value)
+
+    @pytest.mark.parametrize("measure", ["nn", "den"])
+    def test_group_of_at_most_k_names_k_in_both_refresh_modes(self, measure):
+        errors = {self._error(f"sw-{measure}", refresh) for refresh in ("incremental", "exact")}
+        assert errors == {f"at t=15: reference group of size 8 cannot seed the scorer: "
+                          f"{measure} needs more than k=10 members; lengthen the probation "
+                          "or shrink k"}
+
+    def test_group_kept_below_two_names_the_strategy(self):
+        assert self._error("sw-cc", window=1) == (
+            "at t=15: reference group of size 1 cannot seed the scorer: the sw strategy "
+            "kept 1 of 8 features; the scorer needs 2")
+
+    def test_representation_window_past_probation_names_rep_window(self):
+        # the first feature arrives at t = 16, after the boundary: a late seed
+        for name in ("sw-nn", "sw-cc", "sw-freq"):
+            assert self._error(name, rep_window=16) == (
+                "at t=16: reference group of size 0 cannot seed the scorer: only 0 features "
+                "reached it in probation_len=15 points, as the first takes rep_window=16 "
+                "values; lengthen the probation or shrink rep_window")
 
 
 class TestGroupAgreement:

@@ -569,6 +569,18 @@ class TestManifest:
             assert f["error"].startswith(f"DegenerateGroupError: at t={t}: reference group "
                                          "of size 0 cannot seed the scorer"), f
 
+    def test_each_config_is_validated_once_up_front_and_once_per_job(self, tmp_path,
+                                                                      monkeypatch):
+        calls = []
+        validate = DetectorConfig.validate
+        monkeypatch.setattr(DetectorConfig, "validate",
+                            lambda self: calls.append(self.probation_len) or validate(self))
+        paths = self._write_corpus(tmp_path, n_datasets=1)
+        report = run_grid(load_manifest(self._write_manifest(tmp_path, paths)))
+        assert len(report["pairs"]) == 2
+        # the manifest's unresolved configs, then each job's resolved one (400 points: p = 60)
+        assert calls == [None, None, 60, 60]
+
     def test_each_dataset_is_loaded_once(self, tmp_path, monkeypatch):
         import refstream.grid as grid
 
@@ -789,6 +801,14 @@ class TestCli:
             assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()
 
+    def test_manifest_without_detectors_is_usage_error(self, tmp_path, capsys):
+        path = self._dataset(tmp_path)
+        manifest = tmp_path / "manifest.ini"
+        manifest.write_text(f"[manifest]\ndatasets = {path.name}\ndetectors = ,\n")
+        assert main(["grid", str(manifest)]) == 1
+        assert capsys.readouterr().err == "error: manifest lists no detectors\n"
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_ini_is_usage_error_naming_the_file(self, tmp_path, capsys):
         path = self._dataset(tmp_path)
         bad = tmp_path / "bad.ini"
@@ -840,8 +860,11 @@ class TestCli:
         path = make_dataset(tmp_path / "short.csv", n=20, anomalies=())
         assert main(["run", str(path), "--detector", name, "--out", str(tmp_path / "s.csv")]) == 1
         t = 16 if name.endswith("freq") else 10
-        assert capsys.readouterr().err.startswith(
-            f"error: at t={t}: reference group of size 0 cannot seed the scorer")
+        # no feature reached the group, so the message names the windows, not k
+        assert capsys.readouterr().err == (
+            f"error: at t={t}: reference group of size 0 cannot seed the scorer: only 0 "
+            f"features reached it in probation_len=3 points, as the first takes rep_window={t} "
+            "values; lengthen the probation or shrink rep_window\n")
 
     def test_bad_label_file_is_data_error(self, tmp_path, capsys):
         path = self._dataset(tmp_path)
@@ -966,18 +989,25 @@ class TestCli:
 
 class TestSyntheticCorpusScript:
     def test_corpus_runs_as_a_grid_and_reports_group_deltas(self, tmp_path, capsys):
+        # 3 datasets, since the script labels drift and regime "drifting" and
+        # periodic "stable", and a report needs exactly 2 group labels
         root = Path(refstream.__file__).resolve().parents[2]
         subprocess.run(
             [sys.executable, str(root / "scripts" / "make_synthetic_corpus.py"), str(tmp_path),
-             "--datasets", "3", "--length", "200", "--detectors", "sw-nn,sw-freq"],
+             "--datasets", "3", "--length", "200"],
             capture_output=True, check=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
-        assert main(["grid", str(tmp_path / "manifest.ini")]) == 0
+        manifest = tmp_path / "manifest.ini"
+        assert main(["grid", str(manifest)]) == 0
+        report = tmp_path / "results" / "report.json"
+        pairs = json.loads(report.read_text())
+        assert (len(pairs["pairs"]), pairs["failures"]) == (60, [])  # all 20 detectors
         capsys.readouterr()
-        assert main(["report", str(tmp_path / "results" / "report.json")]) == 0
+        assert main(["report", str(report), "--groups", str(manifest)]) == 0
         delta = json.loads(capsys.readouterr().out)["delta"]
         assert (delta["first"], delta["second"]) == ("drifting", "stable")
-        # each measure is ranked against the other; sw holds both detectors, so it has no delta
-        assert None not in (delta["delta"]["nn"], delta["delta"]["freq"])
+        # with all 20 detectors each strategy and each measure is ranked against others
+        assert list(delta["delta"]) == ["fr", "lw", "sw", "ures", "ares", "nn", "den", "cc", "freq"]
+        assert None not in delta["delta"].values()
 
 
 def write_conf(tmp_path):

@@ -20,7 +20,6 @@ from refstream.nonconformity import (
     _distinct_rows,
     _first_by_distance,
     _nearest,
-    batch_lof_scores,
     lloyd_kmeans,
 )
 
@@ -99,7 +98,7 @@ class TestLof:
     def test_coincident_group_scores_one(self):
         feats = [(2.0, 2.0)] * 6
         assert index_of(feats, 3, "density").score((2.0, 2.0)) == pytest.approx(1.0)
-        np.testing.assert_allclose(batch_lof_scores(feats, 3), 1.0)
+        np.testing.assert_allclose(index_of(feats, 3, "density").recompute_member_scores(), 1.0)
 
     def test_batch_matches_brute_force(self):
         rng = np.random.default_rng(2)
@@ -107,7 +106,8 @@ class TestLof:
             m = int(rng.integers(8, 25))
             feats = rng.normal(size=(m, 2)).round(3)  # rounding provokes ties
             for k in (2, 4):
-                assert np.array_equal(batch_lof_scores(feats, k), lof_caches(feats, k)[2])
+                got = index_of(feats, k, "density").recompute_member_scores()
+                assert np.array_equal(got, lof_caches(feats, k)[2])
 
     def test_query_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -121,7 +121,7 @@ class TestLof:
         pts = rng.uniform(0, 1, size=(400, 2))
         interior = (pts[:, 0] > 0.2) & (pts[:, 0] < 0.8) & (pts[:, 1] > 0.2) & (pts[:, 1] < 0.8)
         for k in (4, 10):
-            lofs = batch_lof_scores(pts, k)
+            lofs = index_of(pts, k, "density").recompute_member_scores()
             med = float(np.median(lofs[interior]))
             assert 0.9 <= med <= 1.1
 
@@ -252,7 +252,7 @@ INDEX_ARGS = dict(k=st.integers(1, 6), mode=st.sampled_from(["distance", "densit
 def kdistances(idx):
     """A store's k-distances in arrival order; reading them builds a large store's rows."""
     if idx._small():
-        return idx._batch()[1]
+        return idx._batch()[0]
     idx._ensure_built()
     return idx._nbrd[:, -1].take(idx._rows())
 
@@ -260,7 +260,7 @@ def kdistances(idx):
 def lrds(idx):
     """A store's LRDs in arrival order, NaN in distance mode; reading builds rows too."""
     if idx._small():
-        lrd = idx._batch()[2]
+        lrd = idx._batch()[1]
         return np.full(len(idx), np.nan) if lrd is None else lrd
     idx._ensure_built()
     return idx._lrd.take(idx._rows())
@@ -572,8 +572,7 @@ class TestSmallGroupWithoutRows:
             feats = idx.member_features()
             got = idx.member_scores()
             assert np.array_equal(got, twin.member_scores(), equal_nan=True)
-            if mode == "density" and len(feats) > k:
-                assert np.array_equal(got, batch_lof_scores(feats, k))
+            assert np.array_equal(got, idx.recompute_member_scores(), equal_nan=True)
             for q in queries:
                 if len(feats) > k:
                     want = lof_query(q, feats, k) if mode == "density" else knn_query(q, feats, k)

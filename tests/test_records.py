@@ -1,10 +1,10 @@
 """Every record of the digest matrix, pinned run by run.
 
-``scripts/record_digest.py`` defines the matrix (437 detector runs) and
+``scripts/record_digest.py`` defines the matrix (436 detector runs) and
 writes ``tests/records.golden`` with ``--write-golden``: the line the
 script prints, then one line per run with its row, stream, detector,
 refresh mode, test period, record count and the SHA-256 of its packed
-records. This module runs the matrix once and compares each run with its
+records, 437 lines in all. This module runs the matrix once and compares each run with its
 golden line, so a change that moves records names the runs it moved.
 
 The golden bits hold for numpy 2.4.6 and the platform's libm on x86-64
